@@ -29,36 +29,21 @@ import numpy as np
 from scipy.optimize import minimize
 
 from mpemba.analysis import CurvePair, detect_crossing
-from mpemba.geometry import MetricKind, bloch_fidelity, bloch_speed
-from mpemba.markov import ANCHORS, FITTED_TABLE
+from mpemba.geometry import bloch_fidelity
+from mpemba.markov import (ANCHOR_ALPHA, ANCHORS, FITTED_TABLE, FittedInterpretation,
+                           exact_sld_increments)
 
 # expected (iqme, qme) outcomes; None = not constrained
 VERDICTS = {"i": (True, None), "ii": (True, False), "iii": (False, True), "iv": (False, None)}
-N_STEPS = 1000
-TAU_MAX = 30.0
 
 
-def propagate(gt, gl, om, r0s, n=N_STEPS, tau=TAU_MAX):
-    """Exact affine trajectories sampled on the output grid."""
-    a = np.array([[-gt, 0.0, 0.0], [0.0, -gt, 0.0], [0.0, om, -gl]])
-    c = np.array([0.0, 0.0, -gl])
-    rs = np.array([0.0, 0.0, -1.0])
-    lam, v = np.linalg.eig(a)
-    vinv = np.linalg.inv(v)
-    t = np.linspace(0.0, tau, n + 1)
-    d0 = (r0s - rs) @ vinv.T
-    phases = np.exp(np.outer(t, lam))
-    traj = np.einsum("ij,kj,mj->kmi", v, phases, d0).real + rs
-    vel = np.einsum("ij,kmj->kmi", a, traj - rs)
-    return t, np.moveaxis(traj, 0, 1), np.moveaxis(vel, 0, 1), rs
-
-
-def curves(gt, gl, om, r0s):
-    t, traj, vel, rs = propagate(gt, gl, om, r0s)
-    speeds = bloch_speed(traj, vel, MetricKind.SLD)
-    f = 0.5 * np.sqrt(np.clip(speeds, 0.0, None))
+def curves(gamma_prime, gt, gl, om, r0s):
+    """Exact trajectories of the z-coupled generator: times, length and d(t) curves."""
+    fitted = FittedInterpretation(table=((gamma_prime, (gt, gl, om)),))
+    a, c = fitted.generator(ANCHOR_ALPHA, gamma_prime)
+    t, traj, rs, increments = exact_sld_increments(a, c, r0s)
     ell = np.zeros(traj.shape[:2])
-    ell[:, 1:] = np.cumsum(0.5 * (f[:, 1:] + f[:, :-1]) * (t[1] - t[0]), axis=1)
+    ell[:, 1:] = np.cumsum(increments, axis=1)
     dcurv = np.arccos(np.clip(bloch_fidelity(traj, rs), 0.0, 1.0))
     return t, ell, dcurv
 
@@ -69,7 +54,7 @@ def group_metrics(gamma_prime, gt, gl, om):
         if case.gamma_prime != gamma_prime:
             continue
         r0s = np.array([[0.0, *case.point_a], [0.0, *case.point_b]])
-        t, ell, dcurv = curves(gt, gl, om, r0s)
+        t, ell, dcurv = curves(gamma_prime, gt, gl, om, r0s)
         la, lb = ell[0, -1], ell[1, -1]
         da, db = dcurv[0, 0], dcurv[1, 0]
         devs += [abs(la - case.length_a), abs(lb - case.length_b),

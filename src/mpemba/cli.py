@@ -22,12 +22,10 @@ from . import __version__, analysis, circuit, markov
 from .geometry import MetricKind
 from .markov import (
     CalibrationError,
-    ConfigurationError,
     FittedInterpretation,
     GridInterpretation,
     InstabilityError,
     MarkovParams,
-    UnphysicalInterpretationError,
 )
 
 EXIT_OK = 0
@@ -81,19 +79,27 @@ def _calibration_path(workdir: str) -> str:
     return os.path.join(workdir, "calibration.json")
 
 
+def _write_calibration(workdir: str, result: markov.CalibrationResult) -> None:
+    os.makedirs(workdir, exist_ok=True)
+    with open(_calibration_path(workdir), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump({"winner": interpretation_token(result.winner),
+                   "max_residual": result.max_residual}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def load_or_run_calibration(workdir: str, quiet: bool = False):
     """Use the persisted winner when available, otherwise calibrate and persist."""
     path = _calibration_path(workdir)
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return interpretation_from_token(data["winner"]), float(data["max_residual"])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            return interpretation_from_token(data["winner"]), float(data["max_residual"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"unreadable calibration cache {path} ({type(exc).__name__}: "
+                             f"{exc}); delete it or rerun 'calibrate'") from exc
     result = markov.calibrate()
-    os.makedirs(workdir, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"winner": interpretation_token(result.winner),
-                   "max_residual": result.max_residual}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_calibration(workdir, result)
     if not quiet:
         print(f"calibrated: winner {interpretation_token(result.winner)} "
               f"(max residual {result.max_residual:.4f})")
@@ -122,15 +128,19 @@ def cmd_calibrate(args) -> int:
         "winner_max_residual": fmt(result.max_residual),
     })
     write_csv(os.path.join(args.workdir, "calibration.csv"), manifest, header, rows)
-    with open(_calibration_path(args.workdir), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"winner": interpretation_token(result.winner),
-                   "max_residual": result.max_residual}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_calibration(args.workdir, result)
     print(f"winner: {interpretation_token(result.winner)} "
           f"max residual {result.max_residual:.5f}")
     print(f"wrote {os.path.join(args.workdir, 'calibration.csv')} "
           f"({time.monotonic() - t0:.2f}s)")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _parse_point(text: str):
@@ -312,6 +322,8 @@ def cmd_circuit(args) -> int:
     t0 = time.monotonic()
     metric = METRIC_FROM_FLAG[args.metric]
     family = args.family.replace("-", "_")
+    if args.subsystem == "quarter" and args.n % 4:
+        raise ValueError(f"--subsystem quarter needs --n divisible by 4, got {args.n}")
     size = 1 if args.subsystem == "1" else args.n // 4
     os.makedirs(args.workdir, exist_ok=True)
     curves = []
@@ -389,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--a", type=_parse_point, default=None, metavar="Y,Z")
     pm.add_argument("--b", type=_parse_point, default=None, metavar="Y,Z")
     pm.add_argument("--metric", choices=["sld", "hm", "wy"], default="sld")
-    pm.add_argument("--steps", type=int, default=markov.DEFAULT_STEPS)
+    pm.add_argument("--steps", type=_positive_int, default=markov.DEFAULT_STEPS)
     pm.add_argument("--tau-max", type=float, default=markov.DEFAULT_TAU_MAX)
 
     pp = sub.add_parser("markov-map", help="trajectory-length vs geodesic map "
@@ -414,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="neel")
     pc.add_argument("--subsystem", choices=["1", "quarter"], default="1")
     pc.add_argument("--metric", choices=["sld", "wy"], default="sld")
-    pc.add_argument("--steps", type=int, default=20)
-    pc.add_argument("--trajectories", type=int, default=500,
+    pc.add_argument("--steps", type=_positive_int, default=20)
+    pc.add_argument("--trajectories", type=_positive_int, default=500,
                     help="trajectory count (500 desk-scale; 10000 full-scale)")
     pc.add_argument("--seed", type=int, default=0, help="master seed")
     return parser
@@ -440,8 +452,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
-    except (ConfigurationError, UnphysicalInterpretationError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # includes ConfigurationError, UnphysicalInterpretationError
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

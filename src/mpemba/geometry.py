@@ -218,31 +218,75 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     return (evecs * np.sqrt(evals)) @ evecs.conj().T
 
 
-def uhlmann_fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity F = Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
-
-    Uses the qubit closed form sqrt(Tr(rho sigma) + 2 sqrt(det rho det sigma))
-    for dim 2 and the general matrix-square-root path otherwise.
-    """
-    a = _as_matrix(rho)
-    b = _as_matrix(sigma)
+def _state_stacks(rhos, sigmas):
+    a = _as_matrix(rhos)
+    b = _as_matrix(sigmas)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] == 2:
-        return _qubit_fidelity(a, b)
-    sa = _sqrtm_psd(a)
+    return a, b
+
+
+def _qubit_det(rhos: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2x2 PSD matrices, clipped at 0 against roundoff."""
+    det = (rhos[..., 0, 0] * rhos[..., 1, 1] - rhos[..., 0, 1] * rhos[..., 1, 0]).real
+    return np.clip(det, 0.0, None)
+
+
+def _sqrtm_batch(rhos: np.ndarray) -> np.ndarray:
+    """Square roots of a stack (..., d, d) of PSD Hermitian matrices.
+
+    d = 2 uses (rho + sqrt(det) I) / sqrt(tr + 2 sqrt(det)); larger d goes
+    through one eigendecomposition of the whole stack.
+    """
+    if rhos.shape[-1] == 2:
+        s = np.sqrt(_qubit_det(rhos))
+        tr = np.trace(rhos, axis1=-2, axis2=-1).real
+        denom = np.sqrt(np.clip(tr + 2.0 * s, 1e-300, None))
+        return (rhos + s[..., None, None] * np.eye(2)) / denom[..., None, None]
+    evals, evecs = np.linalg.eigh(rhos)
+    lowest = evals[..., 0].min()
+    if lowest < EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"negative eigenvalue {lowest:.3e} in matrix square root")
+    roots = np.sqrt(np.clip(evals, 0.0, None))
+    return (evecs * roots[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
+
+
+def fidelity_batch(rhos, sigmas) -> np.ndarray:
+    """Uhlmann fidelities of matched stacks (..., d, d), each in [0, 1].
+
+    d = 2 uses the closed form sqrt(Tr(rho sigma) + 2 sqrt(det rho det sigma));
+    larger d computes Tr sqrt(sqrt(rho) sigma sqrt(rho)) on the whole stack.
+    """
+    a, b = _state_stacks(rhos, sigmas)
+    if a.shape[-1] == 2:
+        tr = np.einsum("...ij,...ji->...", a, b).real
+        return np.sqrt(np.clip(tr + 2.0 * np.sqrt(_qubit_det(a) * _qubit_det(b)), 0.0, 1.0))
+    sa = _sqrtm_batch(a)
     inner = sa @ b @ sa
-    evals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    f = float(np.sum(np.sqrt(np.clip(evals, 0.0, None))))
-    return min(max(f, 0.0), 1.0)
+    evals = np.linalg.eigvalsh((inner + np.swapaxes(inner.conj(), -1, -2)) / 2.0)
+    return np.clip(np.sum(np.sqrt(np.clip(evals, 0.0, None)), axis=-1), 0.0, 1.0)
 
 
-def _qubit_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    tr_ab = float(np.trace(a @ b).real)
-    det_a = max(float(np.linalg.det(a).real), 0.0)
-    det_b = max(float(np.linalg.det(b).real), 0.0)
-    val = tr_ab + 2.0 * np.sqrt(det_a * det_b)
-    return float(np.sqrt(min(max(val, 0.0), 1.0)))
+def affinity_batch(rhos, sigmas) -> np.ndarray:
+    """Quantum affinities Tr(sqrt(rho) sqrt(sigma)) of matched stacks, in [0, 1]."""
+    a, b = _state_stacks(rhos, sigmas)
+    val = np.trace(_sqrtm_batch(a) @ _sqrtm_batch(b), axis1=-2, axis2=-1).real
+    return np.clip(val, 0.0, 1.0)
+
+
+def geodesic_batch(rhos, sigmas, metric: MetricKind) -> np.ndarray:
+    """Geodesic distances between matched stacks: 2 arccos of the fidelity
+    (SLD) or of the affinity (WY). The HM metric has no closed-form geodesic."""
+    if metric is MetricKind.SLD:
+        return 2.0 * np.arccos(fidelity_batch(rhos, sigmas))
+    if metric is MetricKind.WY:
+        return 2.0 * np.arccos(affinity_batch(rhos, sigmas))
+    raise UnsupportedMetricError("harmonic-mean metric has no closed-form geodesic")
+
+
+def uhlmann_fidelity(rho, sigma) -> float:
+    """Uhlmann fidelity F = Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1]."""
+    return float(fidelity_batch(_as_matrix(rho)[None], _as_matrix(sigma)[None])[0])
 
 
 def fidelity_general(rho, sigma) -> float:
@@ -262,36 +306,12 @@ def fidelity_general(rho, sigma) -> float:
 
 def affinity(rho, sigma) -> float:
     """Quantum affinity A = Tr(sqrt(rho) sqrt(sigma)), in [0, 1]."""
-    a = _as_matrix(rho)
-    b = _as_matrix(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] == 2:
-        val = float(np.trace(_qubit_sqrt(a) @ _qubit_sqrt(b)).real)
-    else:
-        val = float(np.trace(_sqrtm_psd(a) @ _sqrtm_psd(b)).real)
-    return min(max(val, 0.0), 1.0)
-
-
-def _qubit_sqrt(a: np.ndarray) -> np.ndarray:
-    """sqrt of a 2x2 PSD matrix: (a + sqrt(det a) I) / sqrt(tr a + 2 sqrt(det a))."""
-    det = max(float(np.linalg.det(a).real), 0.0)
-    tr = float(np.trace(a).real)
-    s = np.sqrt(det)
-    denom = np.sqrt(max(tr + 2.0 * s, 0.0))
-    if denom == 0.0:
-        return np.zeros_like(a)
-    return (a + s * np.eye(2)) / denom
+    return float(affinity_batch(_as_matrix(rho)[None], _as_matrix(sigma)[None])[0])
 
 
 def geodesic_distance(rho, sigma, metric: MetricKind) -> float:
-    """Geodesic distance between two states: 2 arccos of fidelity (SLD) or
-    affinity (WY). The HM metric has no closed-form geodesic."""
-    if metric is MetricKind.SLD:
-        return 2.0 * float(np.arccos(np.clip(uhlmann_fidelity(rho, sigma), 0.0, 1.0)))
-    if metric is MetricKind.WY:
-        return 2.0 * float(np.arccos(np.clip(affinity(rho, sigma), 0.0, 1.0)))
-    raise UnsupportedMetricError("harmonic-mean metric has no closed-form geodesic")
+    """Geodesic distance between two states (see geodesic_batch)."""
+    return float(geodesic_batch(_as_matrix(rho)[None], _as_matrix(sigma)[None], metric)[0])
 
 
 def bloch_to_density(r) -> np.ndarray:

@@ -35,7 +35,7 @@ from .geometry import (
     bloch_affinity,
     bloch_fidelity,
     bloch_speed,
-    bloch_to_density,
+    density_to_bloch,
 )
 
 BALL_TOL = 1e-6
@@ -134,16 +134,7 @@ class GridInterpretation:
     def generator(self, alpha: float, gamma_prime: float) -> Tuple[np.ndarray, np.ndarray]:
         """Affine Bloch field r' = A r + c."""
         self.check_rates(alpha)
-        decay, deph = self.rates(alpha)
-        gt = 0.5 * (decay + deph)
-        omega = self.rotation_sign * _scale_value(self.hamiltonian_scale, gamma_prime)
-        a = np.array([
-            [-gt, 0.0, 0.0],
-            [0.0, -gt, -omega],
-            [0.0, omega, -decay],
-        ])
-        c = np.array([0.0, 0.0, decay * self.decay_pole])
-        return a, c
+        return self.generator_unchecked(alpha, gamma_prime)
 
     def generator_unchecked(self, alpha: float, gamma_prime: float):
         """Generator without the rate-sign check (used by steady-state algebra,
@@ -206,19 +197,14 @@ class FittedInterpretation:
     def coefficients(self, gamma_prime: float) -> Tuple[float, float, float]:
         gps = [g for g, _ in self.table]
         vals = [v for _, v in self.table]
+        if not gps[0] - 1e-12 <= gamma_prime <= gps[-1] + 1e-12:
+            warnings.warn(
+                f"gamma_prime={gamma_prime:g} outside the calibrated range "
+                f"[{gps[0]:g}, {gps[-1]:g}]; extrapolating"
+            )
         if gamma_prime <= gps[0]:
-            if gamma_prime < gps[0] - 1e-12:
-                warnings.warn(
-                    f"gamma_prime={gamma_prime:g} outside the calibrated range "
-                    f"[{gps[0]:g}, {gps[-1]:g}]; extrapolating"
-                )
             return vals[0]
         if gamma_prime >= gps[-1]:
-            if gamma_prime > gps[-1] + 1e-12:
-                warnings.warn(
-                    f"gamma_prime={gamma_prime:g} outside the calibrated range "
-                    f"[{gps[0]:g}, {gps[-1]:g}]; extrapolating"
-                )
             return vals[-1]
         for (g0, v0), (g1, v1) in zip(self.table, self.table[1:]):
             if g0 <= gamma_prime <= g1:
@@ -306,12 +292,7 @@ def matrix_rhs(rho, params: MarkovParams) -> np.ndarray:
             anti = opd @ op @ rho + rho @ opd @ op
             out = out + rate * (op @ rho @ opd - 0.5 * anti)
         return out
-    r = np.array([
-        2.0 * rho[1, 0].real,
-        2.0 * rho[1, 0].imag,
-        (rho[0, 0] - rho[1, 1]).real,
-    ])
-    rdot = bloch_rhs(r, params)
+    rdot = bloch_rhs(density_to_bloch(rho), params)
     return 0.5 * (rdot[0] * SX + rdot[1] * SY + rdot[2] * SZ)
 
 
@@ -339,6 +320,19 @@ def _stiffness(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a).real)) + np.max(np.abs(np.imag(np.linalg.eigvals(a)))))
 
 
+def _rk4_advance(r, a, c, h, substeps):
+    """Advance r' = r A^T + c by one output step h in `substeps` classical
+    RK4 steps."""
+    hs = h / substeps
+    for _ in range(substeps):
+        k1 = r @ a.T + c
+        k2 = (r + 0.5 * hs * k1) @ a.T + c
+        k3 = (r + 0.5 * hs * k2) @ a.T + c
+        k4 = (r + hs * k3) @ a.T + c
+        r = r + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return r
+
+
 def integrate_batch(r0s, params: MarkovParams, n_steps: int = DEFAULT_STEPS,
                     tau_max: float = DEFAULT_TAU_MAX,
                     substeps: Optional[int] = None) -> np.ndarray:
@@ -358,18 +352,12 @@ def integrate_batch(r0s, params: MarkovParams, n_steps: int = DEFAULT_STEPS,
     h = tau_max / n_steps
     if substeps is None:
         substeps = max(1, min(1000, math.ceil(h * _stiffness(a) / 0.1)))
-    hs = h / substeps
     out = np.empty((r0s.shape[0], n_steps + 1, 3))
     out[:, 0] = r0s
     r = r0s.copy()
     limit = (1.0 + BALL_TOL) ** 2
     for k in range(n_steps):
-        for _ in range(substeps):
-            k1 = r @ a.T + c
-            k2 = (r + 0.5 * hs * k1) @ a.T + c
-            k3 = (r + 0.5 * hs * k2) @ a.T + c
-            k4 = (r + hs * k3) @ a.T + c
-            r = r + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r = _rk4_advance(r, a, c, h, substeps)
         sq = np.einsum("ij,ij->i", r, r)
         if np.any(sq > limit):
             worst = float(np.sqrt(sq.max()))
@@ -449,10 +437,6 @@ class TrajectoryRecord:
     params: MarkovParams
     label: str = ""
 
-    @property
-    def std_err(self):
-        return None
-
 
 def run_trajectory_record(r0, params: MarkovParams, metric: MetricKind = MetricKind.SLD,
                           n_steps: int = DEFAULT_STEPS, tau_max: float = DEFAULT_TAU_MAX,
@@ -511,17 +495,24 @@ class CalibrationResult:
     anchors: Tuple[AnchorCase, ...]
 
 
-def _exact_curves(a, c, r0s, n_steps, tau_max):
-    """Exact affine propagation sampled on the output grid (calibration's
-    internal evaluator; the public integrate op is the RK4 path)."""
+def exact_sld_increments(a, c, r0s, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU_MAX):
+    """Exact affine propagation of r' = A r + c and its SLD length per output step.
+
+    The calibration's evaluator (the public integrate op is the RK4 path).
+    Returns (times (n+1,), trajectories (m, n+1, 3), fixed point, length
+    increments (m, n)): the trapezoidal quadrature of half the root SLD speed
+    over each output interval.
+    """
     rs = np.linalg.solve(a, -c)
     lam, v = np.linalg.eig(a)
     vinv = np.linalg.inv(v)
-    t = np.linspace(0.0, tau_max, n_steps + 1)
+    times = np.linspace(0.0, tau_max, n_steps + 1)
     d0 = (r0s - rs) @ vinv.T
-    phases = np.exp(np.outer(t, lam))
-    traj = np.einsum("ij,kj,mj->kmi", v, phases, d0).real + rs
-    return np.moveaxis(traj, 0, 1), rs  # (m, n+1, 3)
+    phases = np.exp(np.outer(times, lam))
+    traj = np.moveaxis(np.einsum("ij,kj,mj->kmi", v, phases, d0).real + rs, 0, 1)
+    speeds = bloch_speed(traj, traj @ a.T + c, MetricKind.SLD)
+    f = 0.5 * np.sqrt(np.clip(speeds, 0.0, None))
+    return times, traj, rs, 0.5 * (f[:, 1:] + f[:, :-1]) * (times[1] - times[0])
 
 
 def _score_candidate(interp, anchors, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU_MAX,
@@ -539,23 +530,14 @@ def _score_candidate(interp, anchors, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU
             return CandidateScore(interp, False, "negative rate", float("inf"), nan_res)
     residuals = []
     for case in anchors:
-        params = MarkovParams(alpha, case.gamma_prime, interp)
-        rs = steady_state(params)
-        if interp.kind == "grid":
-            a, c = interp.generator_unchecked(alpha, case.gamma_prime)
-        else:
-            a, c = params.generator()
+        # rates are nonnegative here, so the checked generator cannot raise
+        a, c = MarkovParams(alpha, case.gamma_prime, interp).generator()
         if np.any(np.linalg.eigvals(a).real > -1e-12):
             return CandidateScore(interp, False, "non-contracting generator", float("inf"),
-                                  tuple([float("nan")] * (4 * len(anchors))))
+                                  nan_res)
         r0s = np.array([[0.0, *case.point_a], [0.0, *case.point_b]])
-        traj, rs = _exact_curves(a, c, r0s, n_steps, tau_max)
-        times = np.linspace(0.0, tau_max, n_steps + 1)
-        vel = traj @ a.T + c
-        speeds = bloch_speed(traj, vel, MetricKind.SLD)
-        f = 0.5 * np.sqrt(np.clip(speeds, 0.0, None))
-        dt = times[1] - times[0]
-        lengths = np.sum(0.5 * (f[:, 1:] + f[:, :-1]) * dt, axis=1)
+        _, _, rs, increments = exact_sld_increments(a, c, r0s, n_steps, tau_max)
+        lengths = np.sum(increments, axis=1)
         d0 = np.arccos(np.clip(bloch_fidelity(r0s, rs), 0.0, 1.0))
         residuals += [
             lengths[0] - case.length_a, lengths[1] - case.length_b,
@@ -639,43 +621,31 @@ def distance_map(params: MarkovParams, grid_spacing: float = 0.02,
     a, c = params.generator()
     h = tau_max / n_steps
     substeps = max(1, min(1000, math.ceil(h * _stiffness(a) / 0.1)))
-    hs = h / substeps
     r = r0s.copy()
     valid = np.ones(pts.shape[0], dtype=bool)
-    vel = r @ a.T + c
-    f_prev = 0.5 * np.sqrt(np.clip(bloch_speed(r, vel, metric), 0.0, None))
+    root_speed = np.sqrt(np.clip(bloch_speed(r, r @ a.T + c, metric), 0.0, None))
+    f_prev = 0.5 * root_speed
     ell = np.zeros(pts.shape[0])
     speed_times = [0.0]
-    speed_samples = [np.sqrt(np.clip(bloch_speed(r, vel, metric), 0.0, None))]
+    speed_samples = [root_speed]
     limit = (1.0 + 1e-9) ** 2
     for k in range(n_steps):
-        for _ in range(substeps):
-            k1 = r @ a.T + c
-            k2 = (r + 0.5 * hs * k1) @ a.T + c
-            k3 = (r + 0.5 * hs * k2) @ a.T + c
-            k4 = (r + hs * k3) @ a.T + c
-            r = r + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r = _rk4_advance(r, a, c, h, substeps)
         sq = np.einsum("ij,ij->i", r, r)
         escaped = sq > limit
         if np.any(escaped & valid):
             valid &= ~escaped
             # park dead trajectories at the fixed point to keep the batch finite
             r[escaped] = rs
-        vel = r @ a.T + c
-        f = 0.5 * np.sqrt(np.clip(bloch_speed(r, vel, metric), 0.0, None))
+        root_speed = np.sqrt(np.clip(bloch_speed(r, r @ a.T + c, metric), 0.0, None))
+        f = 0.5 * root_speed
         ell += 0.5 * h * (f_prev + f)
         f_prev = f
         if (k + 1) % speed_stride == 0:
             speed_times.append(h * (k + 1))
-            samp = np.sqrt(np.clip(bloch_speed(r, vel, metric), 0.0, None))
-            speed_samples.append(np.where(valid, samp, np.nan))
-    if metric is MetricKind.WY:
-        tail = np.arccos(np.clip(bloch_affinity(r, rs), 0.0, 1.0))
-        d0 = np.arccos(np.clip(bloch_affinity(r0s, rs), 0.0, 1.0))
-    else:
-        tail = np.arccos(np.clip(bloch_fidelity(r, rs), 0.0, 1.0))
-        d0 = np.arccos(np.clip(bloch_fidelity(r0s, rs), 0.0, 1.0))
-    total = np.where(valid, ell + tail, np.nan)
+            speed_samples.append(np.where(valid, root_speed, np.nan))
+    d0 = geodesic_curve(r0s, params, metric)
+    total = np.where(valid, ell + geodesic_curve(r, params, metric), np.nan)
     return DistanceMap(
         points=pts, total_length=total, dist0=d0, excess=total - d0, valid=valid,
         speed_times=np.asarray(speed_times), speed_samples=np.asarray(speed_samples),

@@ -116,9 +116,9 @@ def test_criterion_03_hm_experiment(calibration):
         rec_b = markov.run_trajectory_record([0.0, 0.0, 0.9], params, metric, label="B")
         verdicts[metric] = analysis.iqme_verdict(rec_a, rec_b)
     ok = all(v.is_crossing for v in verdicts.values())
-    report(3, ok, "IQME crossing under both HM and SLD metrics "
-                  f"(t_c = {verdicts[MetricKind.HM].t_c:.2f} / "
-                  f"{verdicts[MetricKind.SLD].t_c:.2f})")
+    t_c = ["none" if v.t_c is None else f"{v.t_c:.2f}"
+           for v in (verdicts[MetricKind.HM], verdicts[MetricKind.SLD])]
+    report(3, ok, f"IQME crossing under both HM and SLD metrics (t_c = {t_c[0]} / {t_c[1]})")
 
 
 def test_criterion_04_oracle_equivalence():

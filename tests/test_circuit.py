@@ -3,6 +3,7 @@ import pytest
 
 from mpemba.circuit import (
     AveragedCurve,
+    _run_batch,
     CircuitConfig,
     StateVector,
     SymGate,
@@ -209,6 +210,16 @@ class TestRunTrajectory:
         assert rdms.shape[1:] == (4, 4)
         assert np.all(np.diff(ell) >= -1e-15)
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_single_run_is_row_of_batch(self, size):
+        for metric in (MetricKind.SLD, MetricKind.WY):
+            cfg = small_config(subsystem_size=size, metric=metric)
+            ells, rdms = _run_batch(cfg, [2, 5, 9, 11])
+            for row, k in enumerate([2, 5, 9, 11]):
+                single_rdms, single_ell = run_trajectory(cfg, k)
+                assert np.array_equal(single_rdms, rdms[row])
+                assert np.array_equal(single_ell, ells[row])
+
 
 class TestConservation:
     def test_full_run_charge_and_norm(self):
@@ -328,6 +339,7 @@ class TestConfigValidation:
 
     def test_quarter_needs_divisible(self):
         CircuitConfig(n_qubits=8, subsystem_size=2)
+        CircuitConfig(n_qubits=6, subsystem_size=1)
         with pytest.raises(ValueError):
             CircuitConfig(n_qubits=10, subsystem_size=2)
 

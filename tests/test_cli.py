@@ -163,3 +163,51 @@ class TestCircuit:
                      "--steps", "6"])
         assert code == 0
         assert os.path.exists(os.path.join(out, "circuit_ferro_domain_wall_0.5pi_sld.csv"))
+
+
+VALID_CACHE = '{"max_residual": 0.005, "winner": "fitted:z-coupled:pole-"}\n'
+THETA = ["--theta", "0.5pi"]
+
+
+@pytest.mark.parametrize("argv, cache", [
+    pytest.param(["circuit", "--n", "7"] + THETA, None, id="odd-n"),
+    pytest.param(["circuit", "--n", "8", "--trajectories", "1"] + THETA, None,
+                 id="one-trajectory"),
+    pytest.param(["circuit", "--n", "8", "--trajectories", "0"] + THETA, None,
+                 id="zero-trajectories"),
+    pytest.param(["circuit", "--n", "8", "--steps", "4", "--trajectories", "4"] + THETA, None,
+                 id="horizon-below-convergence-window"),
+    pytest.param(["circuit", "--n", "6", "--subsystem", "quarter", "--trajectories", "4"]
+                 + THETA, None, id="quarter-of-6-qubits"),
+    pytest.param(["markov", "--gamma-prime", "0.94", "--a", "2,0", "--b", "0,0"], VALID_CACHE,
+                 id="point-outside-ball"),
+    pytest.param(["markov", "--case", "i", "--steps", "0"], VALID_CACHE, id="zero-steps"),
+    pytest.param(["markov-map", "--gamma-prime", "0.94", "--spacing", "-1"], VALID_CACHE,
+                 id="negative-spacing"),
+    pytest.param(["markov", "--case", "i"], '{"winner": "fitted', id="truncated-cache"),
+    pytest.param(["markov", "--case", "i"], '{"max_residual": 0.005}\n',
+                 id="cache-without-winner"),
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, cache):
+    out = tmp_path / "w"
+    out.mkdir()
+    if cache is not None:
+        (out / "calibration.json").write_text(cache)
+    try:
+        code = main(["-o", str(out)] + argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    if cache is not None and cache != VALID_CACHE:
+        assert str(out / "calibration.json") in err
+
+
+def test_six_qubit_single_site_subsystem(tmp_path):
+    out = str(tmp_path / "w")
+    assert main(["-o", out, "circuit", "--n", "6", "--subsystem", "1", "--theta", "0.5pi",
+                 "--trajectories", "4", "--steps", "5"]) == 0
+    manifest, _, rows = read_csv(os.path.join(out, "circuit_neel_0.5pi_sld.csv"))
+    assert manifest["subsystem_size"] == "1"
+    assert len(rows) == 6

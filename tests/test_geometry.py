@@ -11,14 +11,18 @@ from mpemba.geometry import (
     TangentOperator,
     UnsupportedMetricError,
     _qubit_speed_wy,
+    _sqrtm_psd,
     affinity,
+    affinity_batch,
     bloch_affinity,
     bloch_fidelity,
     bloch_geodesic,
     bloch_speed,
     bloch_to_density,
     density_to_bloch,
+    fidelity_batch,
     fidelity_general,
+    geodesic_batch,
     geodesic_distance,
     petz_speed,
     qubit_speed_closed_form,
@@ -201,6 +205,49 @@ class TestFidelityAffinity:
             assert bloch_fidelity(r1, r2) == pytest.approx(f_ref, abs=1e-12)
             a_ref = affinity(bloch_to_density(r1), bloch_to_density(r2))
             assert bloch_affinity(r1, r2) == pytest.approx(a_ref, abs=1e-9)
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_match_oracles(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        a = np.array([random_density(rng, dim) for _ in range(40)])
+        b = np.array([random_density(rng, dim) for _ in range(40)])
+        ref_fid = np.array([fidelity_general(x, y) for x, y in zip(a, b)])
+        ref_aff = np.array([np.trace(_sqrtm_psd(x) @ _sqrtm_psd(y)).real
+                            for x, y in zip(a, b)])
+        assert np.max(np.abs(fidelity_batch(a, b) - ref_fid)) < 1e-9
+        assert np.max(np.abs(affinity_batch(a, b) - ref_aff)) < 1e-9
+        for metric, ref in ((MetricKind.SLD, ref_fid), (MetricKind.WY, ref_aff)):
+            geo = geodesic_batch(a, b, metric)
+            assert np.max(np.abs(geo - 2.0 * np.arccos(ref))) < 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rows_bit_identical_to_stack_of_one(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        a = np.array([random_density(rng, dim) for _ in range(24)])
+        b = np.array([random_density(rng, dim) for _ in range(24)])
+        for metric in (MetricKind.SLD, MetricKind.WY):
+            geo = geodesic_batch(a, b, metric)
+            nested = geodesic_batch(a.reshape(4, 6, dim, dim), b.reshape(4, 6, dim, dim), metric)
+            assert np.array_equal(nested.ravel(), geo)
+            for k in range(len(a)):
+                assert geodesic_batch(a[k:k + 1], b[k:k + 1], metric)[0] == geo[k]
+                assert geodesic_distance(a[k], b[k], metric) == geo[k]
+
+    def test_validation(self):
+        rng = np.random.default_rng(40)
+        good = np.array([random_density(rng, 4) for _ in range(3)])
+        with pytest.raises(ValueError):
+            fidelity_batch(good, good[:2])
+        bad = good.copy()
+        bad[1] = np.diag([0.6, 0.5, 0.1, -0.2])
+        with pytest.raises(InvalidStateError):
+            fidelity_batch(bad, good)
+        with pytest.raises(InvalidStateError):
+            affinity_batch(good, bad)
+        with pytest.raises(UnsupportedMetricError):
+            geodesic_batch(good, good, MetricKind.HM)
 
 
 class TestGeodesicDistance:
