@@ -29,9 +29,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from mpemba.analysis import CurvePair, detect_crossing
-from mpemba.geometry import bloch_fidelity
 from mpemba.markov import (ANCHOR_ALPHA, ANCHORS, FITTED_TABLE, FittedInterpretation,
-                           exact_sld_increments)
+                           MarkovParams, exact_sld_increments, geodesic_curve)
 
 # expected (iqme, qme) outcomes; None = not constrained
 VERDICTS = {"i": (True, None), "ii": (True, False), "iii": (False, True), "iv": (False, None)}
@@ -39,13 +38,13 @@ VERDICTS = {"i": (True, None), "ii": (True, False), "iii": (False, True), "iv": 
 
 def curves(gamma_prime, gt, gl, om, r0s):
     """Exact trajectories of the z-coupled generator: times, length and d(t) curves."""
-    fitted = FittedInterpretation(table=((gamma_prime, (gt, gl, om)),))
-    a, c = fitted.generator(ANCHOR_ALPHA, gamma_prime)
-    t, traj, rs, increments = exact_sld_increments(a, c, r0s)
+    params = MarkovParams(ANCHOR_ALPHA, gamma_prime,
+                          FittedInterpretation(table=((gamma_prime, (gt, gl, om)),)))
+    a, c = params.generator()
+    t, traj, increments = exact_sld_increments(a, c, r0s)
     ell = np.zeros(traj.shape[:2])
     ell[:, 1:] = np.cumsum(increments, axis=1)
-    dcurv = np.arccos(np.clip(bloch_fidelity(traj, rs), 0.0, 1.0))
-    return t, ell, dcurv
+    return t, ell, geodesic_curve(traj, params)
 
 
 def group_metrics(gamma_prime, gt, gl, om):

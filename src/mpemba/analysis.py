@@ -15,7 +15,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-DEFAULT_DEADBAND = 1e-9
+DEADBAND = 1e-9  # |a - b| at or below this carries no sign
+NOISE_FACTOR = 2.0  # standard errors a Monte-Carlo crossing margin must exceed
 
 
 @dataclass(frozen=True)
@@ -65,26 +66,24 @@ class MpembaVerdict:
 
 def detect_crossing(
     pair: CurvePair,
-    deadband: float = DEFAULT_DEADBAND,
     std_errs: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
-    noise_factor: float = 2.0,
 ) -> MpembaVerdict:
     """Detect a persistent sign change of a - b.
 
     Requires a(0) > b(0) (else ``ordering_violated``). The crossing time is
     the linear-interpolation root at the final + -> - sign change; after it,
-    no sample may exceed +deadband. Samples within the dead band carry no
+    no sample may exceed +DEADBAND. Samples within the dead band carry no
     sign, which tolerates curves pinned to a common terminal value.
 
     When ``std_errs`` is given (Monte-Carlo curves), a crossing is only
-    reported if the post-crossing margin exceeds ``noise_factor`` times the
+    reported if the post-crossing margin exceeds ``NOISE_FACTOR`` times the
     combined standard error at the final sample.
     """
     t, a, b = pair.times, pair.a, pair.b
     diff = a - b
-    if diff[0] <= deadband:
+    if diff[0] <= DEADBAND:
         return MpembaVerdict("ordering_violated", None, 0.0, pair.labels)
-    sig = np.where(diff > deadband, 1, np.where(diff < -deadband, -1, 0))
+    sig = np.where(diff > DEADBAND, 1, np.where(diff < -DEADBAND, -1, 0))
     # indices k where the sign next becomes negative after being positive,
     # skipping dead-band samples in between
     last_cross = None
@@ -108,7 +107,7 @@ def detect_crossing(
         se_a = np.asarray(std_errs[0], dtype=float)
         se_b = np.asarray(std_errs[1], dtype=float)
         combined = float(np.sqrt(se_a[-1] ** 2 + se_b[-1] ** 2))
-        if margin <= noise_factor * combined:
+        if margin <= NOISE_FACTOR * combined:
             return MpembaVerdict("no_crossing", None, margin, pair.labels)
     return MpembaVerdict("crossing", t_c, margin, pair.labels)
 
@@ -121,8 +120,7 @@ def _ordered_pair(times, ya, yb, labels) -> Tuple[CurvePair, bool]:
     return CurvePair(times, yb, ya, (labels[1], labels[0])), True
 
 
-def iqme_verdict(rec_a, rec_b, deadband: float = DEFAULT_DEADBAND,
-                 std_errs=None) -> MpembaVerdict:
+def iqme_verdict(rec_a, rec_b, std_errs=None) -> MpembaVerdict:
     """IQME test on two residue curves (records must share grid and setup).
 
     Relabels so the curve with the larger residue at t=0 plays the role of
@@ -138,21 +136,20 @@ def iqme_verdict(rec_a, rec_b, deadband: float = DEFAULT_DEADBAND,
                                   (rec_a.label, rec_b.label))
     if swapped and std_errs is not None:
         std_errs = (std_errs[1], std_errs[0])
-    v = detect_crossing(pair, deadband=deadband, std_errs=std_errs)
+    v = detect_crossing(pair, std_errs=std_errs)
     return MpembaVerdict(v.kind, v.t_c, v.margin, pair.labels, swapped)
 
 
-def qme_verdict(rec_a, rec_b, deadband: float = DEFAULT_DEADBAND) -> MpembaVerdict:
+def qme_verdict(rec_a, rec_b) -> MpembaVerdict:
     """QME test on two geodesic-distance curves d(t)."""
     _check_compatible(rec_a, rec_b)
     pair, swapped = _ordered_pair(rec_a.times, rec_a.geo, rec_b.geo,
                                   (rec_a.label, rec_b.label))
-    v = detect_crossing(pair, deadband=deadband)
+    v = detect_crossing(pair)
     return MpembaVerdict(v.kind, v.t_c, v.margin, pair.labels, swapped)
 
 
-def universal_iqme_check(rec_a_sld, rec_a_hm, rec_b_sld, rec_b_hm,
-                         deadband: float = DEFAULT_DEADBAND) -> MpembaVerdict:
+def universal_iqme_check(rec_a_sld, rec_a_hm, rec_b_sld, rec_b_hm) -> MpembaVerdict:
     """Metric-independent IQME criterion.
 
     Gate: R_SLD^A(0) > R_HM^B(0); then require the (larger) HM residue of A
@@ -161,12 +158,12 @@ def universal_iqme_check(rec_a_sld, rec_a_hm, rec_b_sld, rec_b_hm,
     for r in (rec_a_hm, rec_b_sld, rec_b_hm):
         if len(r.times) != len(rec_a_sld.times) or not np.allclose(r.times, rec_a_sld.times):
             raise ValueError("records must share one time grid")
-    if rec_a_sld.residue[0] <= rec_b_hm.residue[0] + deadband:
+    if rec_a_sld.residue[0] <= rec_b_hm.residue[0] + DEADBAND:
         return MpembaVerdict("ordering_violated", None, 0.0,
                              (rec_a_sld.label, rec_b_sld.label))
     pair = CurvePair(rec_a_hm.times, rec_a_hm.residue, rec_b_sld.residue,
                      (rec_a_hm.label, rec_b_sld.label))
-    return detect_crossing(pair, deadband=deadband)
+    return detect_crossing(pair)
 
 
 def _check_compatible(rec_a, rec_b):

@@ -27,70 +27,21 @@ import numpy as np
 from .geometry import MetricKind, UnsupportedMetricError
 from .geometry import geodesic_batch as _pair_distances
 
-NORM_TOL = 1e-9
-UNITARITY_TOL = 1e-10
 CHUNK = 64  # trajectories per internal batch; fixed so results never depend on threading
 CONVERGENCE_WINDOW = 5  # final steps whose slope decides convergence
+CONVERGENCE_SLOPE_TOL = 0.005  # largest mean-length growth per step of a converged curve
 
 
 def thread_count() -> int:
-    """Worker threads for trajectory ensembles (env var MPEMBA_THREADS)."""
+    """Worker threads for trajectory ensembles: MPEMBA_THREADS, 1 when unset."""
     raw = os.environ.get("MPEMBA_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized amplitudes over the computational basis of n qubits.
-
-    Qubit 0 is the most significant bit; bit value 0 encodes spin up.
-    """
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (2 ** self.n_qubits,):
-            raise ValueError(f"expected {2**self.n_qubits} amplitudes, got {amp.shape}")
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm-1.0):.3e}")
-        object.__setattr__(self, "amplitudes", amp)
-
-
-@dataclass(frozen=True)
-class SymGate:
-    """Charge-conserving two-qubit gate: phases on the polarized sectors and
-    a 2x2 unitary on the zero-charge sector."""
-
-    phase_up: complex
-    mid: np.ndarray
-    phase_down: complex
-
-    def __post_init__(self):
-        mid = np.asarray(self.mid, dtype=complex)
-        if mid.shape != (2, 2):
-            raise ValueError("mid block must be 2x2")
-        err = np.max(np.abs(mid.conj().T @ mid - np.eye(2)))
-        if err > UNITARITY_TOL:
-            raise ValueError(f"mid block not unitary: deviation {err:.3e}")
-        for p in (self.phase_up, self.phase_down):
-            if abs(abs(p) - 1.0) > 1e-12:
-                raise ValueError("sector phases must have unit modulus")
-        object.__setattr__(self, "mid", mid)
-
-    def as_matrix(self) -> np.ndarray:
-        """4x4 matrix in the pair basis (uu, ud, du, dd)."""
-        g = np.zeros((4, 4), dtype=complex)
-        g[0, 0] = self.phase_up
-        g[1:3, 1:3] = self.mid
-        g[3, 3] = self.phase_down
-        return g
+        n = 0
+    if n < 1:
+        raise ValueError(f"MPEMBA_THREADS must be an integer >= 1, got {raw!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -130,24 +81,11 @@ class CircuitConfig:
             raise ValueError("need at least one trajectory")
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x n unitary for n in {1, 2}.
-
-    n = 1 draws a uniform phase. n = 2 orthonormalizes a complex Gaussian
-    matrix column by column; the Gram-Schmidt R factor has a positive real
-    diagonal, which makes the distribution two-sided invariant.
-    """
-    if n == 1:
-        phi = rng.random() * 2.0 * np.pi
-        return np.array([[np.exp(1j * phi)]])
-    if n != 2:
-        raise ValueError("only 1x1 and 2x2 blocks are needed here")
-    return _haar_blocks(rng.standard_normal((2, 2, 2)))
-
-
 def _haar_blocks(normals: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt on the columns of complex Gaussian 2x2 matrices whose
-    real and imaginary parts are the last axis of normals (..., 2, 2, 2)."""
+    """Haar-random 2x2 unitaries: Gram-Schmidt on the columns of complex
+    Gaussian matrices whose real and imaginary parts are the last axis of
+    normals (..., 2, 2, 2). The implied R factor has a positive real
+    diagonal, which makes the distribution two-sided invariant."""
     m = normals[..., 0] + 1j * normals[..., 1]
     c0 = m[..., :, 0]
     n0 = np.linalg.norm(c0, axis=-1, keepdims=True)
@@ -159,16 +97,12 @@ def _haar_blocks(normals: np.ndarray) -> np.ndarray:
     return np.stack([q0, q1], axis=-1)
 
 
-def sample_gate(rng: np.random.Generator) -> SymGate:
-    """Draw one charge-conserving gate: Haar 2x2 block plus two phases."""
-    mid = haar_unitary(2, rng)
-    phases = np.exp(2j * np.pi * rng.random(2))
-    return SymGate(phase_up=phases[0], mid=mid, phase_down=phases[1])
+def initial_state(family: str, theta: float, n_qubits: int) -> np.ndarray:
+    """Amplitudes (2^n,) of a product state: global y-rotation by theta applied
+    to a reference pattern (alternating, all-up, or half-up/half-down).
 
-
-def initial_state(family: str, theta: float, n_qubits: int) -> StateVector:
-    """Product state: global y-rotation by theta applied to a reference
-    pattern (alternating, all-up, or half-up/half-down)."""
+    Qubit 0 is the most significant bit; bit value 0 encodes spin up.
+    """
     if n_qubits % 2:
         raise ValueError("n_qubits must be even")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
@@ -185,34 +119,19 @@ def initial_state(family: str, theta: float, n_qubits: int) -> StateVector:
     amp = sites[0]
     for spinor in sites[1:]:
         amp = np.kron(amp, spinor)
-    return StateVector(n_qubits, amp)
+    return amp
 
 
-def charge_expectation(psi: StateVector) -> float:
-    """<Q> = sum_i <sigma_z^i> from the basis-state probabilities."""
-    n = psi.n_qubits
-    probs = np.abs(psi.amplitudes) ** 2
+def charge_expectation(amps: np.ndarray) -> float:
+    """<Q> = sum_i <sigma_z^i> from the basis-state probabilities of amplitudes (2^n,)."""
+    n = amps.size.bit_length() - 1
+    probs = np.abs(amps) ** 2
     total = 0.0
     shaped = probs.reshape((2,) * n)
     for q in range(n):
         p1 = float(np.sum(shaped, axis=tuple(i for i in range(n) if i != q))[1])
         total += 1.0 - 2.0 * p1
     return total
-
-
-def apply_gate(psi: StateVector, gate: SymGate, q_a: int, q_b: int) -> StateVector:
-    """Apply a charge-conserving gate to the (q_a, q_b) pair."""
-    n = psi.n_qubits
-    if q_a == q_b:
-        raise ValueError("gate needs two distinct qubits")
-    for q in (q_a, q_b):
-        if not 0 <= q < n:
-            raise IndexError(f"qubit index {q} out of range")
-    amp = _apply_gate_batch(
-        psi.amplitudes[None, :], n, q_a, q_b,
-        np.array([gate.phase_up]), gate.mid[None, :, :], np.array([gate.phase_down]),
-    )[0]
-    return StateVector(n, amp)
 
 
 def _apply_gate_batch(amps, n, qa, qb, phase_up, mids, phase_down):
@@ -233,15 +152,10 @@ def _apply_gate_batch(amps, n, qa, qb, phase_up, mids, phase_down):
     return out.reshape(b, -1)
 
 
-def reduce(psi: StateVector, start: int = 0, size: int = 1) -> np.ndarray:
-    """Reduced density matrix of `size` contiguous qubits from `start`.
-
-    Partial trace over the complement; output is trace-normalized exactly.
-    """
-    return _reduce_batch(psi.amplitudes[None, :], psi.n_qubits, start, size)[0]
-
-
 def _reduce_batch(amps, n, start, size):
+    """Reduced density matrices (B, 2^size, 2^size) of `size` contiguous qubits
+    from `start` (wrapping around) for amplitudes (B, 2^n); partial trace over
+    the complement, trace-normalized exactly."""
     b = amps.shape[0]
     if start + size <= n:
         axes_src = tuple(range(1 + start, 1 + start + size))
@@ -295,7 +209,7 @@ def _run_batch(config: CircuitConfig, traj_indices) -> Tuple[np.ndarray, np.ndar
     steps = config.horizon
     pairs = gate_layout(n)
     mids, pu, pd = _draw_gate_blocks(config.master_seed, traj_indices, steps, len(pairs))
-    psi0 = initial_state(config.family, config.theta, n).amplitudes
+    psi0 = initial_state(config.family, config.theta, n)
     b = len(traj_indices)
     amps = np.broadcast_to(psi0, (b, psi0.size)).copy()
     d = 2 ** config.subsystem_size
@@ -339,7 +253,7 @@ class AveragedCurve:
     params: Optional[CircuitConfig] = field(default=None, repr=False, compare=False)
 
 
-def average_curves(config: CircuitConfig, keep_final_rdms: bool = True) -> AveragedCurve:
+def average_curves(config: CircuitConfig) -> AveragedCurve:
     """Ensemble average of per-trajectory lengths (lengths first, then mean).
 
     Trajectories are processed in fixed-size batches whose composition does
@@ -355,7 +269,7 @@ def average_curves(config: CircuitConfig, keep_final_rdms: bool = True) -> Avera
     chunks = [list(range(lo, min(lo + CHUNK, n_traj))) for lo in range(0, n_traj, CHUNK)]
     ells = np.empty((n_traj, config.horizon + 1))
     d = 2 ** config.subsystem_size
-    finals = np.empty((n_traj, d, d), dtype=complex) if keep_final_rdms else None
+    finals = np.empty((n_traj, d, d), dtype=complex)
 
     def work(chunk):
         return chunk[0], _run_batch(config, chunk)
@@ -366,8 +280,7 @@ def average_curves(config: CircuitConfig, keep_final_rdms: bool = True) -> Avera
         # arena, which raised the peak resident set by 5 % at n = 16.
         for lo, (ell, rdms) in pool.map(work, chunks) if workers > 1 else map(work, chunks):
             ells[lo:lo + ell.shape[0]] = ell
-            if finals is not None:
-                finals[lo:lo + ell.shape[0]] = rdms[:, -1]
+            finals[lo:lo + ell.shape[0]] = rdms[:, -1]
 
     mean = ells.mean(axis=0)
     std_err = ells.std(axis=0, ddof=1) / np.sqrt(n_traj)
@@ -389,15 +302,15 @@ def average_curves(config: CircuitConfig, keep_final_rdms: bool = True) -> Avera
     return replace(curve, converged=convergence_check(curve))
 
 
-def convergence_check(curve: AveragedCurve, window: int = CONVERGENCE_WINDOW,
-                      slope_tol: float = 0.005) -> bool:
-    """True when the least-squares slope of the final window is below tolerance."""
-    if len(curve.mean_ell) < window + 1:
+def convergence_check(curve: AveragedCurve) -> bool:
+    """True when the least-squares slope over the final CONVERGENCE_WINDOW
+    steps is at most CONVERGENCE_SLOPE_TOL."""
+    if len(curve.mean_ell) < CONVERGENCE_WINDOW + 1:
         raise ValueError("curve shorter than the convergence window")
-    y = curve.mean_ell[-(window + 1):]
-    x = curve.times[-(window + 1):]
+    y = curve.mean_ell[-(CONVERGENCE_WINDOW + 1):]
+    x = curve.times[-(CONVERGENCE_WINDOW + 1):]
     slope = float(np.polyfit(x, y, 1)[0])
-    return slope <= slope_tol
+    return slope <= CONVERGENCE_SLOPE_TOL
 
 
 def equilibrium_rdm(theta: float, subsystem_size: int) -> np.ndarray:

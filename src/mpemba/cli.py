@@ -37,6 +37,8 @@ METRIC_FROM_FLAG = {"sld": MetricKind.SLD, "hm": MetricKind.HM, "wy": MetricKind
 
 CASE_TABLE = {c.label: c for c in markov.ANCHORS}
 
+SVG_CELL = 4.0  # pixels per map grid point
+
 
 def fmt(x) -> str:
     """Shortest round-trip decimal for a float (stable across runs)."""
@@ -162,6 +164,11 @@ def _verdict_line(name: str, verdict: analysis.MpembaVerdict) -> str:
 
 def cmd_markov(args) -> int:
     t0 = time.monotonic()
+    if args.case and any(v is not None for v in (args.alpha, args.gamma_prime, args.a, args.b)):
+        raise ValueError("--case fixes alpha, gamma' and both points; "
+                         "drop --alpha, --gamma-prime, --a and --b")
+    if not args.case and any(v is None for v in (args.gamma_prime, args.a, args.b)):
+        raise ValueError("markov needs --case or all of --gamma-prime, --a, --b")
     interp, _ = load_or_run_calibration(args.workdir, quiet=False)
     metric = METRIC_FROM_FLAG[args.metric]
     if args.case:
@@ -170,11 +177,8 @@ def cmd_markov(args) -> int:
         point_a, point_b = case.point_a, case.point_b
         tag = f"case_{case.label}"
     else:
-        if args.a is None or args.b is None or args.gamma_prime is None:
-            print("markov: provide --case or all of --gamma-prime, --a, --b",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        alpha, gp = args.alpha, args.gamma_prime
+        alpha = markov.ANCHOR_ALPHA if args.alpha is None else args.alpha
+        gp = args.gamma_prime
         point_a, point_b = args.a, args.b
         tag = f"gp{gp:g}"
     params = MarkovParams(alpha, gp, interp)
@@ -231,10 +235,8 @@ def cmd_markov_map(args) -> int:
         "n_points": int(dm.points.shape[0]),
         "n_excluded": int((~dm.valid).sum()),
     })
-    rows = [
-        (dm.points[i, 0], dm.points[i, 1], dm.total_length[i], dm.dist0[i], dm.excess[i])
-        for i in range(dm.points.shape[0]) if dm.valid[i]
-    ]
+    columns = (dm.points[:, 0], dm.points[:, 1], dm.total_length, dm.dist0, dm.excess)
+    rows = zip(*(col[dm.valid].tolist() for col in columns))
     write_csv(path, manifest, ["y", "z", "L", "d0", "excess"], rows)
     outputs = [path]
     if args.speeds:
@@ -243,16 +245,12 @@ def cmd_markov_map(args) -> int:
         smanifest = dict(manifest)
         smanifest["command"] = "markov-map-speeds"
         smanifest["speed_clip"] = fmt(clip) if clip > 0 else "none"
-        srows = []
-        for si, tau in enumerate(dm.speed_times):
-            for pi in range(dm.points.shape[0]):
-                v = dm.speed_samples[si, pi]
-                if not np.isfinite(v):
-                    continue
-                if clip > 0:
-                    v = min(v, clip)
-                srows.append((tau, v))
-        write_csv(spath, smanifest, ["tau", "speed"], srows)
+        finite = np.isfinite(dm.speed_samples)
+        speeds = dm.speed_samples[finite]
+        if clip > 0:
+            speeds = np.minimum(speeds, clip)
+        taus = np.repeat(dm.speed_times, finite.sum(axis=1))
+        write_csv(spath, smanifest, ["tau", "speed"], zip(taus.tolist(), speeds.tolist()))
         outputs.append(spath)
     if args.svg:
         svgpath = os.path.join(args.workdir, args.svg)
@@ -266,13 +264,14 @@ def cmd_markov_map(args) -> int:
     return EXIT_OK
 
 
-def _write_map_svg(path: str, dm: markov.DistanceMap, cell: float = 4.0) -> None:
-    """Minimal raster of the excess heatmap (no plotting dependency)."""
+def _write_map_svg(path: str, dm: markov.DistanceMap) -> None:
+    """Minimal raster of the excess heatmap (no plotting dependency), one
+    SVG_CELL-pixel square per grid point."""
     vals = dm.excess[dm.valid]
     lo, hi = float(np.min(vals)), float(np.max(vals))
     span = hi - lo if hi > lo else 1.0
     spacing = np.min(np.diff(np.unique(dm.points[:, 0]))) if dm.points.shape[0] > 1 else 0.02
-    scale = cell / spacing
+    scale = SVG_CELL / spacing
 
     def color(x):
         u = (x - lo) / span
@@ -290,10 +289,10 @@ def _write_map_svg(path: str, dm: markov.DistanceMap, cell: float = 4.0) -> None
         if not dm.valid[i]:
             continue
         y, z = dm.points[i]
-        px = half + y * scale - cell / 2
-        py = half - z * scale - cell / 2
-        lines.append(f'<rect x="{px:.1f}" y="{py:.1f}" width="{cell:.1f}" '
-                     f'height="{cell:.1f}" fill="{color(dm.excess[i])}"/>')
+        px = half + y * scale - SVG_CELL / 2
+        py = half - z * scale - SVG_CELL / 2
+        lines.append(f'<rect x="{px:.1f}" y="{py:.1f}" width="{SVG_CELL:.1f}" '
+                     f'height="{SVG_CELL:.1f}" fill="{color(dm.excess[i])}"/>')
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -396,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("markov", help="relaxation curves for two initial states")
     pm.add_argument("--case", choices=sorted(CASE_TABLE), default=None,
                     help="benchmark case label")
-    pm.add_argument("--alpha", type=float, default=markov.ANCHOR_ALPHA)
+    pm.add_argument("--alpha", type=float, default=None,
+                    help=f"default {markov.ANCHOR_ALPHA:g}")
     pm.add_argument("--gamma-prime", type=float, default=None)
     pm.add_argument("--a", type=_parse_point, default=None, metavar="Y,Z")
     pm.add_argument("--b", type=_parse_point, default=None, metavar="Y,Z")

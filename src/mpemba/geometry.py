@@ -1,8 +1,8 @@
 """Quantum information geometry on density matrices.
 
 Petz monotone metrics (SLD/Bures, harmonic-mean, Wigner-Yanase), Uhlmann
-fidelity, quantum affinity, geodesic distances, and Bloch-sphere helpers
-for the single-qubit fast paths.
+fidelity, quantum affinity and geodesic distances as batched kernels over
+stacks of density matrices, with Bloch-vector front ends for the qubit.
 
 All operations are pure functions on numpy arrays (or the thin
 :class:`DensityMatrix` wrapper) and are safe to call from multiple threads.
@@ -171,44 +171,6 @@ def petz_speed(rho, xdot, metric: MetricKind) -> float:
     return float(np.sum(np.abs(m) ** 2 * w))
 
 
-def qubit_speed_closed_form(r, rdot, metric: MetricKind) -> float:
-    """Closed-form single-qubit speed from the Bloch vector and its velocity.
-
-    Valid for SLD and HM only; |r| must be strictly inside the Bloch ball.
-    With a = radial velocity component, b = |transverse component|:
-    SLD gives a^2/(1-|r|^2) + b^2, HM gives (a^2 + b^2)/(1-|r|^2).
-    """
-    r = np.asarray(r, dtype=float)
-    rdot = np.asarray(rdot, dtype=float)
-    rr = float(r @ r)
-    if rr >= 1.0:
-        raise MetricDomainError(f"|r| = {np.sqrt(rr):.6f} is not inside the Bloch ball")
-    if metric is MetricKind.WY:
-        raise UnsupportedMetricError("no closed form exposed for the WY metric")
-    if metric not in (MetricKind.SLD, MetricKind.HM):
-        raise UnsupportedMetricError(f"unsupported metric {metric}")
-    v2 = float(rdot @ rdot)
-    a2 = (float(r @ rdot) ** 2 / rr) if rr > 0.0 else 0.0
-    b2 = max(v2 - a2, 0.0)
-    if metric is MetricKind.SLD:
-        return a2 / (1.0 - rr) + b2
-    return (a2 + b2) / (1.0 - rr)
-
-
-def _qubit_speed_wy(r, rdot) -> float:
-    """Internal WY analogue of qubit_speed_closed_form (cross-checked in tests)."""
-    r = np.asarray(r, dtype=float)
-    rdot = np.asarray(rdot, dtype=float)
-    rr = float(r @ r)
-    if rr >= 1.0:
-        raise MetricDomainError(f"|r| = {np.sqrt(rr):.6f} is not inside the Bloch ball")
-    v2 = float(rdot @ rdot)
-    a2 = (float(r @ rdot) ** 2 / rr) if rr > 0.0 else 0.0
-    b2 = max(v2 - a2, 0.0)
-    c = np.sqrt(1.0 - rr)
-    return a2 / (1.0 - rr) + 2.0 * b2 / (1.0 + c)
-
-
 def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     """Matrix square root of a PSD Hermitian matrix via eigendecomposition."""
     evals, evecs = np.linalg.eigh(mat)
@@ -315,15 +277,20 @@ def geodesic_distance(rho, sigma, metric: MetricKind) -> float:
 
 
 def bloch_to_density(r) -> np.ndarray:
-    """Bloch vector (x, y, z) -> 2x2 density matrix (1/2)(I + r . sigma)."""
+    """Bloch vectors (..., 3) -> density matrices (..., 2, 2), (1/2)(I + r . sigma)."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {r.shape}")
-    norm = float(np.linalg.norm(r))
+    if r.ndim == 0 or r.shape[-1] != 3:
+        raise ValueError(f"expected 3-vectors, got shape {r.shape}")
+    norm = float(np.max(np.linalg.norm(r, axis=-1), initial=0.0))
     if norm > 1.0 + 1e-12:
         raise MetricDomainError(f"|r| = {norm:.12f} exceeds 1")
-    x, y, z = r
-    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    rho = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
+    rho[..., 0, 0] = 1.0 + z
+    rho[..., 0, 1] = x - 1j * y
+    rho[..., 1, 0] = x + 1j * y
+    rho[..., 1, 1] = 1.0 - z
+    return 0.5 * rho
 
 
 def density_to_bloch(rho) -> np.ndarray:
@@ -337,59 +304,33 @@ def density_to_bloch(rho) -> np.ndarray:
     return np.array([x, y, z])
 
 
-# Vectorized single-qubit helpers used by the Markov and circuit engines.
+# Bloch-vector front ends used by the Markov engine.
+
+def _bloch_states(r1, r2):
+    r1, r2 = np.broadcast_arrays(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
+    return bloch_to_density(r1), bloch_to_density(r2)
+
 
 def bloch_fidelity(r1, r2) -> np.ndarray:
-    """Uhlmann fidelity between qubit states given as Bloch vectors.
-
-    Broadcasts over leading axes; the last axis must have length 3.
-    """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    dot = np.sum(r1 * r2, axis=-1)
-    d1 = np.clip(1.0 - np.sum(r1 * r1, axis=-1), 0.0, None)
-    d2 = np.clip(1.0 - np.sum(r2 * r2, axis=-1), 0.0, None)
-    val = (1.0 + dot) / 2.0 + np.sqrt(d1 * d2) / 2.0
-    return np.sqrt(np.clip(val, 0.0, 1.0))
-
-
-def bloch_geodesic(r1, r2, metric: MetricKind = MetricKind.SLD) -> np.ndarray:
-    """Geodesic distance between qubit Bloch vectors (SLD or WY)."""
-    if metric is MetricKind.SLD:
-        return 2.0 * np.arccos(np.clip(bloch_fidelity(r1, r2), 0.0, 1.0))
-    if metric is MetricKind.WY:
-        return 2.0 * np.arccos(np.clip(bloch_affinity(r1, r2), 0.0, 1.0))
-    raise UnsupportedMetricError("harmonic-mean metric has no closed-form geodesic")
+    """Uhlmann fidelity between qubit states given as Bloch vectors (..., 3),
+    broadcast over leading axes (fidelity_batch on the density matrices)."""
+    return fidelity_batch(*_bloch_states(r1, r2))
 
 
 def bloch_affinity(r1, r2) -> np.ndarray:
-    """Quantum affinity between qubit Bloch states, broadcast over leading axes."""
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    n1 = np.sqrt(np.clip(np.sum(r1 * r1, axis=-1), 0.0, 1.0))
-    n2 = np.sqrt(np.clip(np.sum(r2 * r2, axis=-1), 0.0, 1.0))
-    dot = np.sum(r1 * r2, axis=-1)
-    # Tr(sqrt(rho1) sqrt(rho2)) for qubits, from eigenvalues (1 +- n)/2:
-    # sqrt(rho) = a I + b (r . sigma)/n with a = (sqrt(p+) + sqrt(p-))/2,
-    # b = (sqrt(p+) - sqrt(p-))/2; the trace works out to
-    # 2 a1 a2 + 2 b1 b2 (r1 . r2) / (n1 n2).
-    sp1 = np.sqrt(np.clip((1.0 + n1) / 2.0, 0.0, None))
-    sm1 = np.sqrt(np.clip((1.0 - n1) / 2.0, 0.0, None))
-    sp2 = np.sqrt(np.clip((1.0 + n2) / 2.0, 0.0, None))
-    sm2 = np.sqrt(np.clip((1.0 - n2) / 2.0, 0.0, None))
-    a1, b1 = (sp1 + sm1) / 2.0, (sp1 - sm1) / 2.0
-    a2, b2 = (sp2 + sm2) / 2.0, (sp2 - sm2) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit_dot = np.where((n1 > 0) & (n2 > 0), dot / (n1 * n2), 0.0)
-    val = 2.0 * (a1 * a2 + b1 * b2 * unit_dot)
-    return np.clip(val, 0.0, 1.0)
+    """Quantum affinity between qubit Bloch states, broadcast over leading axes
+    (affinity_batch on the density matrices)."""
+    return affinity_batch(*_bloch_states(r1, r2))
 
 
 def bloch_speed(r, rdot, metric: MetricKind) -> np.ndarray:
-    """Vectorized qubit Petz speed; broadcasts over leading axes.
+    """Vectorized qubit Petz speed from the Bloch vector and its velocity;
+    broadcasts over leading axes.
 
-    SLD and HM follow qubit_speed_closed_form; WY uses the same eigenbasis
-    reduction (radial part 1/(1-r^2), transverse 2/(1+sqrt(1-r^2))).
+    With a = radial velocity component and b = |transverse component|, the
+    eigenbasis sum reduces to a^2/(1-|r|^2) + b^2 (SLD), (a^2 + b^2)/(1-|r|^2)
+    (HM) and a^2/(1-|r|^2) + 2 b^2/(1+sqrt(1-|r|^2)) (WY). petz_speed is the
+    independent oracle.
     """
     r = np.asarray(r, dtype=float)
     rdot = np.asarray(rdot, dtype=float)

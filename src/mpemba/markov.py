@@ -42,6 +42,7 @@ BALL_TOL = 1e-6
 DEFAULT_STEPS = 1000
 DEFAULT_TAU_MAX = 30.0
 HM_INTERIOR_MARGIN = 2e-9  # |r| <= 1 - margin keeps both eigenvalues >= 1e-9
+CALIBRATION_THRESHOLD = 0.05  # largest anchor deviation a calibration winner may have
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -419,8 +420,8 @@ def geodesic_curve(states, params: MarkovParams,
     states = np.asarray(states, dtype=float)
     rs = steady_state(params)
     if metric is MetricKind.WY:
-        return np.arccos(np.clip(bloch_affinity(states, rs), 0.0, 1.0))
-    return np.arccos(np.clip(bloch_fidelity(states, rs), 0.0, 1.0))
+        return np.arccos(bloch_affinity(states, rs))
+    return np.arccos(bloch_fidelity(states, rs))
 
 
 @dataclass(frozen=True)
@@ -499,9 +500,9 @@ def exact_sld_increments(a, c, r0s, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU_M
     """Exact affine propagation of r' = A r + c and its SLD length per output step.
 
     The calibration's evaluator (the public integrate op is the RK4 path).
-    Returns (times (n+1,), trajectories (m, n+1, 3), fixed point, length
-    increments (m, n)): the trapezoidal quadrature of half the root SLD speed
-    over each output interval.
+    Returns (times (n+1,), trajectories (m, n+1, 3), length increments (m, n)):
+    the trapezoidal quadrature of half the root SLD speed over each output
+    interval.
     """
     rs = np.linalg.solve(a, -c)
     lam, v = np.linalg.eig(a)
@@ -512,7 +513,7 @@ def exact_sld_increments(a, c, r0s, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU_M
     traj = np.moveaxis(np.einsum("ij,kj,mj->kmi", v, phases, d0).real + rs, 0, 1)
     speeds = bloch_speed(traj, traj @ a.T + c, MetricKind.SLD)
     f = 0.5 * np.sqrt(np.clip(speeds, 0.0, None))
-    return times, traj, rs, 0.5 * (f[:, 1:] + f[:, :-1]) * (times[1] - times[0])
+    return times, traj, 0.5 * (f[:, 1:] + f[:, :-1]) * (times[1] - times[0])
 
 
 def _score_candidate(interp, anchors, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU_MAX,
@@ -530,15 +531,16 @@ def _score_candidate(interp, anchors, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU
             return CandidateScore(interp, False, "negative rate", float("inf"), nan_res)
     residuals = []
     for case in anchors:
+        params = MarkovParams(alpha, case.gamma_prime, interp)
         # rates are nonnegative here, so the checked generator cannot raise
-        a, c = MarkovParams(alpha, case.gamma_prime, interp).generator()
+        a, c = params.generator()
         if np.any(np.linalg.eigvals(a).real > -1e-12):
             return CandidateScore(interp, False, "non-contracting generator", float("inf"),
                                   nan_res)
         r0s = np.array([[0.0, *case.point_a], [0.0, *case.point_b]])
-        _, _, rs, increments = exact_sld_increments(a, c, r0s, n_steps, tau_max)
+        _, _, increments = exact_sld_increments(a, c, r0s, n_steps, tau_max)
         lengths = np.sum(increments, axis=1)
-        d0 = np.arccos(np.clip(bloch_fidelity(r0s, rs), 0.0, 1.0))
+        d0 = geodesic_curve(r0s, params)
         residuals += [
             lengths[0] - case.length_a, lengths[1] - case.length_b,
             d0[0] - case.dist_a, d0[1] - case.dist_b,
@@ -548,28 +550,27 @@ def _score_candidate(interp, anchors, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU
 
 
 def calibrate(anchors: Sequence[AnchorCase] = ANCHORS,
-              include_fitted: bool = True,
-              failure_threshold: float = 0.05) -> CalibrationResult:
+              include_fitted: bool = True) -> CalibrationResult:
     """Score every candidate interpretation against the anchor table.
 
     Enumerates the documented grid (discarding unphysical candidates), then
     the calibrated generator, and selects the candidate with the smallest
     maximum absolute deviation over all anchor values (first in enumeration
     order wins ties). Raises CalibrationError if nothing lands within
-    ``failure_threshold``.
+    ``CALIBRATION_THRESHOLD``.
     """
     candidates: List[object] = list(grid_interpretations())
     if include_fitted:
         candidates.append(FittedInterpretation())
     scores = tuple(_score_candidate(interp, tuple(anchors)) for interp in candidates)
     best = min(scores, key=lambda s: s.max_residual)  # stable: first wins ties
-    if not np.isfinite(best.max_residual) or best.max_residual > failure_threshold:
+    if not np.isfinite(best.max_residual) or best.max_residual > CALIBRATION_THRESHOLD:
         lines = [f"{s.interpretation.describe()}: "
                  f"{'unphysical: ' + s.reason if not s.physical else f'max residual {s.max_residual:.4f}'}"
                  for s in scores]
         raise CalibrationError(
             "no interpretation reproduces the benchmark values within "
-            f"{failure_threshold}; best {best.max_residual:.4f}\n" + "\n".join(lines),
+            f"{CALIBRATION_THRESHOLD}; best {best.max_residual:.4f}\n" + "\n".join(lines),
             report=scores,
         )
     return CalibrationResult(best.interpretation, best.max_residual, scores, tuple(anchors))

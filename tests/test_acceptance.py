@@ -15,11 +15,11 @@ from mpemba import analysis, circuit, markov
 from mpemba.cli import main as cli_main
 from mpemba.geometry import (
     MetricKind,
+    bloch_speed,
     bloch_to_density,
     fidelity_general,
     geodesic_distance,
     petz_speed,
-    qubit_speed_closed_form,
     uhlmann_fidelity,
 )
 
@@ -131,9 +131,9 @@ def test_criterion_04_oracle_equivalence():
         v = rng.normal(size=3)
         rho = bloch_to_density(r)
         xdot = 0.5 * (v[0] * SX + v[1] * SY + v[2] * SZ)
-        for metric in (MetricKind.SLD, MetricKind.HM):
+        for metric in (MetricKind.SLD, MetricKind.HM, MetricKind.WY):
             a = petz_speed(rho, xdot, metric)
-            b = qubit_speed_closed_form(r, v, metric)
+            b = bloch_speed(r, v, metric)
             worst_speed = max(worst_speed, abs(a - b) / max(abs(b), 1e-30))
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sigma = g @ g.conj().T
@@ -141,7 +141,7 @@ def test_criterion_04_oracle_equivalence():
         worst_fid = max(worst_fid, abs(uhlmann_fidelity(rho, sigma)
                                        - fidelity_general(rho, sigma)))
     ok = worst_speed < 1e-9 and worst_fid < 1e-9
-    report(4, ok, f"10000 pairs: speed oracle rel err {worst_speed:.2e}, "
+    report(4, ok, f"10000 pairs: bloch_speed vs petz_speed (SLD/HM/WY) rel err {worst_speed:.2e}, "
                   f"fidelity fast-vs-general {worst_fid:.2e} (limits 1e-9)")
 
 
@@ -264,20 +264,20 @@ def test_criterion_11_determinism(tmp_path, monkeypatch):
 
 
 def test_criterion_12_haar_sanity():
-    rng = np.random.default_rng(99)
-    acc = np.zeros((2, 2))
-    n = 100000
-    for _ in range(n):
-        u = circuit.haar_unitary(2, rng)
-        acc += np.abs(u) ** 2
-    moments = acc / n
+    # 100,000 blocks as the engine draws them: 1000 trajectories x 10 steps x 10 gates
+    mids, pu, pd = circuit._draw_gate_blocks(99, range(1000), 10, 10)
+    moments = np.mean(np.abs(mids.reshape(-1, 2, 2)) ** 2, axis=0)
     moment_ok = bool(np.all(np.abs(moments - 0.5) < 0.005))
+    # 4x4 matrices that the engine's kernel applies at n = 2: column j is G e_j
+    k = 200
+    basis = np.tile(np.eye(4, dtype=complex), (k, 1))
+    applied = circuit._apply_gate_batch(
+        basis, 2, 0, 1, np.repeat(pu.ravel()[:k], 4),
+        np.repeat(mids.reshape(-1, 2, 2)[:k], 4, axis=0), np.repeat(pd.ravel()[:k], 4))
+    gates = np.swapaxes(applied.reshape(k, 4, 4), -1, -2)
     sz = np.diag([1.0, -1.0])
     charge = np.kron(sz, np.eye(2)) + np.kron(np.eye(2), sz)
-    worst = 0.0
-    for _ in range(200):
-        g = circuit.sample_gate(rng).as_matrix()
-        worst = max(worst, float(np.max(np.abs(g @ charge - charge @ g))))
+    worst = float(np.max(np.abs(gates @ charge - charge @ gates)))
     ok = moment_ok and worst < 1e-12
     report(12, ok, f"|u_ij|^2 moments within {np.max(np.abs(moments-0.5)):.4f} "
                    f"of 0.5 (limit 0.005); charge commutator {worst:.1e} (limit 1e-12)")

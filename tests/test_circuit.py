@@ -3,21 +3,18 @@ import pytest
 
 from mpemba.circuit import (
     AveragedCurve,
-    _run_batch,
     CircuitConfig,
-    StateVector,
-    SymGate,
-    apply_gate,
+    _apply_gate_batch,
+    _draw_gate_blocks,
+    _reduce_batch,
+    _run_batch,
     average_curves,
     charge_expectation,
     convergence_check,
     equilibrium_rdm,
     gate_layout,
-    haar_unitary,
     initial_state,
-    reduce,
     run_trajectory,
-    sample_gate,
     thread_count,
 )
 from mpemba.geometry import MetricKind, UnsupportedMetricError, geodesic_distance
@@ -30,55 +27,48 @@ def small_config(**kw):
     return CircuitConfig(**base)
 
 
+def random_amplitudes(rng, n):
+    amp = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return amp / np.linalg.norm(amp)
+
+
+def apply_one(amp, n, qa, qb, phase_up, mid, phase_down):
+    """One gate on one state through the batch kernel."""
+    return _apply_gate_batch(amp[None, :], n, qa, qb, np.array([phase_up]),
+                             np.asarray(mid, dtype=complex)[None], np.array([phase_down]))[0]
+
+
+def drawn_gates(count, seed=0):
+    """(mids, phases_up, phases_down) of `count` gates from the engine's draw."""
+    mids, pu, pd = _draw_gate_blocks(seed, range(count // 10), 1, 10)
+    return mids.reshape(-1, 2, 2), pu.ravel(), pd.ravel()
+
+
 class TestHaar:
     def test_phase_block(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            u = haar_unitary(1, rng)
-            assert abs(abs(u[0, 0]) - 1.0) < 1e-12
+        _, pu, pd = drawn_gates(500)
+        assert np.max(np.abs(np.abs(np.concatenate([pu, pd])) - 1.0)) < 1e-12
 
     def test_unitarity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            u = haar_unitary(2, rng)
-            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
+        mids, _, _ = drawn_gates(200)
+        prod = np.swapaxes(mids.conj(), -1, -2) @ mids
+        assert np.max(np.abs(prod - np.eye(2))) < 1e-12
 
     def test_moment(self):
-        rng = np.random.default_rng(2)
-        n = 20000
-        acc = 0.0
-        for _ in range(n):
-            u = haar_unitary(2, rng)
-            acc += abs(u[0, 0]) ** 2
-        assert acc / n == pytest.approx(0.5, abs=0.01)
-
-
-class TestSymGate:
-    def test_assembled_gate_commutes_with_charge(self):
-        rng = np.random.default_rng(3)
-        sz = np.diag([1.0, -1.0])
-        q2 = np.kron(sz, np.eye(2)) + np.kron(np.eye(2), sz)
-        for _ in range(50):
-            g = sample_gate(rng).as_matrix()
-            assert np.max(np.abs(g @ q2 - q2 @ g)) < 1e-12
-            assert np.max(np.abs(g.conj().T @ g - np.eye(4))) < 1e-12
-
-    def test_invalid_mid_rejected(self):
-        with pytest.raises(ValueError):
-            SymGate(1.0, np.array([[1.0, 0.1], [0.0, 1.0]]), 1.0)
+        mids, _, _ = drawn_gates(20000)
+        assert np.mean(np.abs(mids[:, 0, 0]) ** 2) == pytest.approx(0.5, abs=0.01)
 
 
 class TestInitialStates:
     def test_neel_theta0(self):
-        psi = initial_state("neel", 0.0, 6)
-        amp = psi.amplitudes
+        amp = initial_state("neel", 0.0, 6)
         idx = int(np.argmax(np.abs(amp)))
         assert abs(amp[idx]) == pytest.approx(1.0)
         assert idx == 0b010101
 
     def test_ferro_half_pi_uniform(self):
         psi = initial_state("ferro", np.pi / 2, 6)
-        assert np.allclose(np.abs(psi.amplitudes), 2 ** -3)
+        assert np.allclose(np.abs(psi), 2 ** -3)
 
     def test_neel_zero_charge(self):
         for theta in (0.0, 0.2, 1.1):
@@ -92,52 +82,50 @@ class TestInitialStates:
 
     def test_domain_wall_pattern(self):
         psi = initial_state("ferro_domain_wall", 0.0, 6)
-        idx = int(np.argmax(np.abs(psi.amplitudes)))
+        idx = int(np.argmax(np.abs(psi)))
         assert idx == 0b000111
 
 
 class TestApplyGate:
+    def test_gate_matrix_commutes_with_charge(self):
+        sz = np.diag([1.0, -1.0])
+        q2 = np.kron(sz, np.eye(2)) + np.kron(np.eye(2), sz)
+        mids, pu, pd = drawn_gates(50, seed=3)
+        for k in range(50):
+            # columns: the gate applied to each basis state of a 2-qubit register
+            g = np.array([apply_one(e, 2, 0, 1, pu[k], mids[k], pd[k])
+                          for e in np.eye(4, dtype=complex)]).T
+            assert np.max(np.abs(g @ q2 - q2 @ g)) < 1e-12
+            assert np.max(np.abs(g.conj().T @ g - np.eye(4))) < 1e-12
+
     def test_norm_and_charge_preserved(self):
         rng = np.random.default_rng(4)
-        amp = rng.normal(size=2 ** 6) + 1j * rng.normal(size=2 ** 6)
-        psi = StateVector(6, amp / np.linalg.norm(amp))
-        q_before = charge_expectation(psi)
-        for (qa, qb) in [(0, 1), (3, 4), (5, 0), (2, 5)]:
-            psi = apply_gate(psi, sample_gate(rng), qa, qb)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
-        assert charge_expectation(psi) == pytest.approx(q_before, abs=1e-9)
+        amp = random_amplitudes(rng, 6)
+        q_before = charge_expectation(amp)
+        mids, pu, pd = drawn_gates(10, seed=4)
+        for k, (qa, qb) in enumerate([(0, 1), (3, 4), (5, 0), (2, 5)]):
+            amp = apply_one(amp, 6, qa, qb, pu[k], mids[k], pd[k])
+        assert abs(np.linalg.norm(amp) - 1.0) < 1e-12
+        assert charge_expectation(amp) == pytest.approx(q_before, abs=1e-9)
 
     def test_identity_blocks_do_nothing(self):
-        rng = np.random.default_rng(5)
-        amp = rng.normal(size=2 ** 4) + 1j * rng.normal(size=2 ** 4)
-        psi = StateVector(4, amp / np.linalg.norm(amp))
-        g = SymGate(1.0, np.eye(2), 1.0)
-        out = apply_gate(psi, g, 1, 2)
-        assert np.allclose(out.amplitudes, psi.amplitudes)
+        amp = random_amplitudes(np.random.default_rng(5), 4)
+        out = apply_one(amp, 4, 1, 2, 1.0, np.eye(2), 1.0)
+        assert np.allclose(out, amp)
 
     def test_all_up_gets_only_phase(self):
-        rng = np.random.default_rng(6)
         psi = initial_state("ferro", 0.0, 4)
-        out = apply_gate(psi, sample_gate(rng), 1, 2)
-        ratio = out.amplitudes[0] / psi.amplitudes[0]
+        mids, pu, pd = drawn_gates(10, seed=6)
+        out = apply_one(psi, 4, 1, 2, pu[0], mids[0], pd[0])
+        ratio = out[0] / psi[0]
         assert abs(abs(ratio) - 1.0) < 1e-12
-        assert np.allclose(np.abs(out.amplitudes[1:]), 0.0)
-
-    def test_same_qubit_rejected(self):
-        psi = initial_state("ferro", 0.1, 4)
-        with pytest.raises(ValueError):
-            apply_gate(psi, SymGate(1.0, np.eye(2), 1.0), 2, 2)
-
-    def test_out_of_range_rejected(self):
-        psi = initial_state("ferro", 0.1, 4)
-        with pytest.raises(IndexError):
-            apply_gate(psi, SymGate(1.0, np.eye(2), 1.0), 0, 7)
+        assert np.allclose(np.abs(out[1:]), 0.0)
 
 
 class TestReduce:
     def test_product_state_pure(self):
         psi = initial_state("neel", 0.3, 6)
-        rho = reduce(psi, 0, 1)
+        rho = _reduce_batch(psi[None], 6, 0, 1)[0]
         evals = np.linalg.eigvalsh(rho)
         assert evals[-1] == pytest.approx(1.0, abs=1e-12)
         assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -146,20 +134,19 @@ class TestReduce:
         amp = np.zeros(4, dtype=complex)
         amp[0b01] = 1 / np.sqrt(2)
         amp[0b10] = 1 / np.sqrt(2)
-        psi = StateVector(2, amp)
-        rho = reduce(psi, 0, 1)
+        rho = _reduce_batch(amp[None], 2, 0, 1)[0]
         assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_ferro_projector(self):
         psi = initial_state("ferro", 0.0, 8)
-        rho = reduce(psi, 0, 2)
+        rho = _reduce_batch(psi[None], 8, 0, 2)[0]
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.allclose(rho, expected, atol=1e-12)
 
     def test_wraparound_subsystem(self):
         psi = initial_state("ferro_domain_wall", 0.0, 4)  # |0011> pattern
-        rho = reduce(psi, 3, 2)  # qubits 3 and 0 -> qubit 3 bit, qubit 0 bit = (1, 0)
+        rho = _reduce_batch(psi[None], 4, 3, 2)[0]  # qubits 3 and 0 -> bits (1, 0)
         expected = np.zeros((4, 4))
         expected[0b10, 0b10] = 1.0
         assert np.allclose(rho, expected, atol=1e-12)
@@ -226,17 +213,15 @@ class TestConservation:
         cfg = small_config(horizon=12)
         n = cfg.n_qubits
         pairs = gate_layout(n)
-        from mpemba.circuit import _draw_gate_blocks, _apply_gate_batch
         mids, pu, pd = _draw_gate_blocks(cfg.master_seed, [0], cfg.horizon, len(pairs))
         psi = initial_state(cfg.family, cfg.theta, n)
-        amps = psi.amplitudes[None, :].copy()
+        amps = psi[None, :].copy()
         q0 = charge_expectation(psi)
         for t in range(cfg.horizon):
             for g, (qa, qb) in enumerate(pairs):
                 amps = _apply_gate_batch(amps, n, qa, qb, pu[:, t, g], mids[:, t, g], pd[:, t, g])
-        psi_end = StateVector(n, amps[0])
         assert abs(np.linalg.norm(amps[0]) - 1.0) < 1e-9
-        assert charge_expectation(psi_end) == pytest.approx(q0, abs=1e-8)
+        assert charge_expectation(amps[0]) == pytest.approx(q0, abs=1e-8)
 
 
 class TestEnsemble:
@@ -347,7 +332,9 @@ class TestConfigValidation:
 def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("MPEMBA_THREADS", "8")
     assert thread_count() == 8
-    monkeypatch.setenv("MPEMBA_THREADS", "junk")
-    assert thread_count() == 1
+    for bad in ("junk", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("MPEMBA_THREADS", bad)
+        with pytest.raises(ValueError, match="MPEMBA_THREADS"):
+            thread_count()
     monkeypatch.delenv("MPEMBA_THREADS")
     assert thread_count() == 1

@@ -169,28 +169,38 @@ VALID_CACHE = '{"max_residual": 0.005, "winner": "fitted:z-coupled:pole-"}\n'
 THETA = ["--theta", "0.5pi"]
 
 
-@pytest.mark.parametrize("argv, cache", [
-    pytest.param(["circuit", "--n", "7"] + THETA, None, id="odd-n"),
-    pytest.param(["circuit", "--n", "8", "--trajectories", "1"] + THETA, None,
+@pytest.mark.parametrize("argv, cache, env", [
+    pytest.param(["circuit", "--n", "7"] + THETA, None, None, id="odd-n"),
+    pytest.param(["circuit", "--n", "8", "--trajectories", "1"] + THETA, None, None,
                  id="one-trajectory"),
-    pytest.param(["circuit", "--n", "8", "--trajectories", "0"] + THETA, None,
+    pytest.param(["circuit", "--n", "8", "--trajectories", "0"] + THETA, None, None,
                  id="zero-trajectories"),
-    pytest.param(["circuit", "--n", "8", "--steps", "4", "--trajectories", "4"] + THETA, None,
+    pytest.param(["circuit", "--n", "8", "--steps", "4", "--trajectories", "4"] + THETA, None, None,
                  id="horizon-below-convergence-window"),
     pytest.param(["circuit", "--n", "6", "--subsystem", "quarter", "--trajectories", "4"]
-                 + THETA, None, id="quarter-of-6-qubits"),
-    pytest.param(["markov", "--gamma-prime", "0.94", "--a", "2,0", "--b", "0,0"], VALID_CACHE,
+                 + THETA, None, None, id="quarter-of-6-qubits"),
+    pytest.param(["markov", "--gamma-prime", "0.94", "--a", "2,0", "--b", "0,0"], VALID_CACHE, None,
                  id="point-outside-ball"),
-    pytest.param(["markov", "--case", "i", "--steps", "0"], VALID_CACHE, id="zero-steps"),
-    pytest.param(["markov-map", "--gamma-prime", "0.94", "--spacing", "-1"], VALID_CACHE,
+    pytest.param(["markov", "--case", "i", "--steps", "0"], VALID_CACHE, None, id="zero-steps"),
+    pytest.param(["markov-map", "--gamma-prime", "0.94", "--spacing", "-1"], VALID_CACHE, None,
                  id="negative-spacing"),
-    pytest.param(["markov", "--case", "i"], '{"winner": "fitted', id="truncated-cache"),
-    pytest.param(["markov", "--case", "i"], '{"max_residual": 0.005}\n',
+    pytest.param(["markov", "--case", "i"], '{"winner": "fitted', None, id="truncated-cache"),
+    pytest.param(["markov", "--case", "i"], '{"max_residual": 0.005}\n', None,
                  id="cache-without-winner"),
+    pytest.param(["markov", "--case", "i", "--a", "0.9,0.0", "--gamma-prime", "0.52"],
+                 VALID_CACHE, None, id="case-with-explicit-points"),
+    pytest.param(["markov", "--case", "ii", "--b", "0.1,0.1"], VALID_CACHE, None,
+                 id="case-with-b"),
+    pytest.param(["markov", "--case", "ii", "--alpha", "50"], VALID_CACHE, None,
+                 id="case-with-alpha"),
+    pytest.param(["circuit", "--n", "8", "--trajectories", "4", "--steps", "5"] + THETA, None,
+                 {"MPEMBA_THREADS": "abc"}, id="threads-not-an-integer"),
 ])
-def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, cache):
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv, cache, env):
     out = tmp_path / "w"
     out.mkdir()
+    for key, value in (env or {}).items():
+        monkeypatch.setenv(key, value)
     if cache is not None:
         (out / "calibration.json").write_text(cache)
     try:
@@ -200,6 +210,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, cache):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
+    assert "error: " in err
     if cache is not None and cache != VALID_CACHE:
         assert str(out / "calibration.json") in err
 

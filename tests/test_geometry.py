@@ -10,13 +10,11 @@ from mpemba.geometry import (
     MetricKind,
     TangentOperator,
     UnsupportedMetricError,
-    _qubit_speed_wy,
     _sqrtm_psd,
     affinity,
     affinity_batch,
     bloch_affinity,
     bloch_fidelity,
-    bloch_geodesic,
     bloch_speed,
     bloch_to_density,
     density_to_bloch,
@@ -25,7 +23,6 @@ from mpemba.geometry import (
     geodesic_batch,
     geodesic_distance,
     petz_speed,
-    qubit_speed_closed_form,
     spectral_decompose,
     uhlmann_fidelity,
 )
@@ -109,23 +106,15 @@ class TestPetzSpeed:
 
 class TestQubitClosedForm:
     def test_center(self):
-        assert qubit_speed_closed_form([0, 0, 0], [0, 0, 1], MetricKind.SLD) == pytest.approx(1.0)
+        assert bloch_speed([0, 0, 0], [0, 0, 1], MetricKind.SLD) == pytest.approx(1.0)
 
     def test_radial_sld(self):
-        val = qubit_speed_closed_form([0, 0, 0.5], [0, 0, 1], MetricKind.SLD)
+        val = bloch_speed([0, 0, 0.5], [0, 0, 1], MetricKind.SLD)
         assert val == pytest.approx(4.0 / 3.0)
 
     def test_transverse_hm(self):
-        val = qubit_speed_closed_form([0, 0, 0.5], [1, 0, 0], MetricKind.HM)
+        val = bloch_speed([0, 0, 0.5], [1, 0, 0], MetricKind.HM)
         assert val == pytest.approx(4.0 / 3.0)
-
-    def test_boundary_rejected(self):
-        with pytest.raises(MetricDomainError):
-            qubit_speed_closed_form([0, 0, 1.0], [0, 0, 1], MetricKind.SLD)
-
-    def test_wy_not_exposed(self):
-        with pytest.raises(UnsupportedMetricError):
-            qubit_speed_closed_form([0, 0, 0.5], [1, 0, 0], MetricKind.WY)
 
     def test_oracle_equivalence_bulk(self):
         # closed form vs eigenbasis sum on many random interior states
@@ -136,24 +125,20 @@ class TestQubitClosedForm:
             rdot = rng.normal(size=3)
             rho = bloch_to_density(r)
             xdot = 0.5 * (rdot[0] * SX + rdot[1] * SY + rdot[2] * SZ)
-            for metric in (MetricKind.SLD, MetricKind.HM):
-                a = petz_speed(rho, xdot, metric)
-                b = qubit_speed_closed_form(r, rdot, metric)
-                assert a == pytest.approx(b, rel=1e-9)
-            assert petz_speed(rho, xdot, MetricKind.WY) == pytest.approx(
-                _qubit_speed_wy(r, rdot), rel=1e-9)
+            for metric in MetricKind:
+                assert petz_speed(rho, xdot, metric) == pytest.approx(
+                    bloch_speed(r, rdot, metric), rel=1e-9)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(4)
         rs = rng.normal(size=(20, 3))
         rs *= (rng.uniform(0.1, 0.9, size=20) / np.linalg.norm(rs, axis=1))[:, None]
         vs = rng.normal(size=(20, 3))
-        for metric in (MetricKind.SLD, MetricKind.HM):
+        for metric in MetricKind:
             batch = bloch_speed(rs, vs, metric)
-            single = [qubit_speed_closed_form(r, v, metric) for r, v in zip(rs, vs)]
-            assert np.allclose(batch, single, rtol=1e-12)
-        assert np.allclose(bloch_speed(rs, vs, MetricKind.WY),
-                           [_qubit_speed_wy(r, v) for r, v in zip(rs, vs)], rtol=1e-12)
+            assert np.array_equal(batch, [bloch_speed(r, v, metric) for r, v in zip(rs, vs)])
+            nested = bloch_speed(rs.reshape(4, 5, 3), vs.reshape(4, 5, 3), metric)
+            assert np.array_equal(nested.ravel(), batch)
 
 
 class TestFidelityAffinity:
@@ -278,15 +263,6 @@ class TestGeodesicDistance:
                 bm = (1 - p) * b + p * np.eye(2) / 2
                 assert geodesic_distance(am, bm, MetricKind.SLD) <= base + 1e-9
 
-    def test_bloch_geodesic_matches(self):
-        rng = np.random.default_rng(11)
-        r1 = np.array([0.3, -0.2, 0.4])
-        r2 = np.array([-0.1, 0.5, 0.2])
-        ref = geodesic_distance(bloch_to_density(r1), bloch_to_density(r2), MetricKind.SLD)
-        assert bloch_geodesic(r1, r2) == pytest.approx(ref, abs=1e-12)
-        ref_wy = geodesic_distance(bloch_to_density(r1), bloch_to_density(r2), MetricKind.WY)
-        assert bloch_geodesic(r1, r2, MetricKind.WY) == pytest.approx(ref_wy, abs=1e-9)
-
 
 class TestBlochRoundTrip:
     def test_center(self):
@@ -309,6 +285,34 @@ class TestBlochRoundTrip:
     def test_outside_ball_rejected(self):
         with pytest.raises(MetricDomainError):
             bloch_to_density([1.0, 0.5, 0.0])
+        with pytest.raises(MetricDomainError):
+            bloch_to_density([[0.0, 0.0, 0.5], [0.0, 0.0, 1.0 + 1e-11]])
+        bloch_to_density([0.0, 0.0, 1.0 + 1e-13])  # roundoff above the surface passes
+        with pytest.raises(ValueError):
+            bloch_to_density([[0.1, 0.2]])
+
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(13)
+        rs = rng.normal(size=(2, 5, 3))
+        rs *= (rng.uniform(0, 1, size=(2, 5)) / np.linalg.norm(rs, axis=-1))[..., None]
+        stack = bloch_to_density(rs)
+        assert stack.shape == (2, 5, 2, 2)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(stack[idx], bloch_to_density(rs[idx]))
+
+    def test_front_ends_broadcast_and_check_radius(self):
+        rng = np.random.default_rng(14)
+        rs = rng.normal(size=(6, 3))
+        rs *= (rng.uniform(0, 1, size=6) / np.linalg.norm(rs, axis=1))[:, None]
+        target = np.array([0.0, 0.0, -1.0])
+        for front, kernel in ((bloch_fidelity, fidelity_batch), (bloch_affinity, affinity_batch)):
+            vals = front(rs, target)
+            assert vals.shape == (6,)
+            expected = kernel(bloch_to_density(rs), np.broadcast_to(bloch_to_density(target),
+                                                                     (6, 2, 2)))
+            assert np.array_equal(vals, expected)
+            with pytest.raises(MetricDomainError):
+                front(rs, [0.0, 0.8, 0.8])
 
 
 class TestDomainTypes:
