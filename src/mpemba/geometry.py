@@ -183,14 +183,21 @@ def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
 def _state_stacks(rhos, sigmas):
     a = _as_matrix(rhos)
     b = _as_matrix(sigmas)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    np.broadcast_shapes(a.shape, b.shape)  # ValueError when the stacks do not broadcast
     return a, b
 
 
 def _qubit_det(rhos: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 2x2 PSD matrices, clipped at 0 against roundoff."""
+    """Determinants of a stack of 2x2 Hermitian matrices, clipped at 0 against
+    roundoff; InvalidStateError when the smaller eigenvalue
+    tr/2 - sqrt((tr/2)^2 - det) lies below EIGENVALUE_FLOOR."""
     det = (rhos[..., 0, 0] * rhos[..., 1, 1] - rhos[..., 0, 1] * rhos[..., 1, 0]).real
+    half_tr = 0.5 * (rhos[..., 0, 0] + rhos[..., 1, 1]).real
+    lowest = np.min(half_tr - np.sqrt(np.clip(half_tr ** 2 - det, 0.0, None)), initial=np.inf)
+    if lowest < EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"negative eigenvalue {lowest:.3e}")
     return np.clip(det, 0.0, None)
 
 
@@ -214,7 +221,8 @@ def _sqrtm_batch(rhos: np.ndarray) -> np.ndarray:
 
 
 def fidelity_batch(rhos, sigmas) -> np.ndarray:
-    """Uhlmann fidelities of matched stacks (..., d, d), each in [0, 1].
+    """Uhlmann fidelities of stacks (..., d, d) that broadcast against each
+    other, each in [0, 1].
 
     d = 2 uses the closed form sqrt(Tr(rho sigma) + 2 sqrt(det rho det sigma));
     larger d computes Tr sqrt(sqrt(rho) sigma sqrt(rho)) on the whole stack.
@@ -230,14 +238,16 @@ def fidelity_batch(rhos, sigmas) -> np.ndarray:
 
 
 def affinity_batch(rhos, sigmas) -> np.ndarray:
-    """Quantum affinities Tr(sqrt(rho) sqrt(sigma)) of matched stacks, in [0, 1]."""
+    """Quantum affinities Tr(sqrt(rho) sqrt(sigma)) of broadcasting stacks, in
+    [0, 1]. Each operand is rooted at its own shape, so a single reference
+    state is rooted once and the matmul broadcasts it."""
     a, b = _state_stacks(rhos, sigmas)
     val = np.trace(_sqrtm_batch(a) @ _sqrtm_batch(b), axis1=-2, axis2=-1).real
     return np.clip(val, 0.0, 1.0)
 
 
 def geodesic_batch(rhos, sigmas, metric: MetricKind) -> np.ndarray:
-    """Geodesic distances between matched stacks: 2 arccos of the fidelity
+    """Geodesic distances between broadcasting stacks: 2 arccos of the fidelity
     (SLD) or of the affinity (WY). The HM metric has no closed-form geodesic."""
     if metric is MetricKind.SLD:
         return 2.0 * np.arccos(fidelity_batch(rhos, sigmas))
@@ -306,21 +316,16 @@ def density_to_bloch(rho) -> np.ndarray:
 
 # Bloch-vector front ends used by the Markov engine.
 
-def _bloch_states(r1, r2):
-    r1, r2 = np.broadcast_arrays(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
-    return bloch_to_density(r1), bloch_to_density(r2)
-
-
 def bloch_fidelity(r1, r2) -> np.ndarray:
     """Uhlmann fidelity between qubit states given as Bloch vectors (..., 3),
     broadcast over leading axes (fidelity_batch on the density matrices)."""
-    return fidelity_batch(*_bloch_states(r1, r2))
+    return fidelity_batch(bloch_to_density(r1), bloch_to_density(r2))
 
 
 def bloch_affinity(r1, r2) -> np.ndarray:
     """Quantum affinity between qubit Bloch states, broadcast over leading axes
     (affinity_batch on the density matrices)."""
-    return affinity_batch(*_bloch_states(r1, r2))
+    return affinity_batch(bloch_to_density(r1), bloch_to_density(r2))
 
 
 def bloch_speed(r, rdot, metric: MetricKind) -> np.ndarray:

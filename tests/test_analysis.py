@@ -3,7 +3,6 @@ import pytest
 
 from mpemba.analysis import (
     CurvePair,
-    MpembaVerdict,
     detect_crossing,
     iqme_verdict,
     qme_verdict,

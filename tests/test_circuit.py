@@ -33,9 +33,27 @@ def random_amplitudes(rng, n):
 
 
 def apply_one(amp, n, qa, qb, phase_up, mid, phase_down):
-    """One gate on one state through the batch kernel."""
-    return _apply_gate_batch(amp[None, :], n, qa, qb, np.array([phase_up]),
+    """One gate on a copy of one state through the in-place batch kernel."""
+    return _apply_gate_batch(amp[None, :].copy(), n, qa, qb, np.array([phase_up]),
                              np.asarray(mid, dtype=complex)[None], np.array([phase_down]))[0]
+
+
+def dense_gate(n, qa, qb, phase_up, mid, phase_down):
+    """The 2^n x 2^n operator of one gate: sum over the 4x4 entries of
+    |i><k| on qa times |j><l| on qb, tensored with identities by kron."""
+    g = np.zeros((4, 4), dtype=complex)
+    g[0, 0], g[1:3, 1:3], g[3, 3] = phase_up, mid, phase_down
+    basis = np.eye(2)
+    full = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        ops = [np.eye(2)] * n
+        ops[qa] = np.outer(basis[i], basis[k])
+        ops[qb] = np.outer(basis[j], basis[l])
+        term = np.eye(1)
+        for op in ops:
+            term = np.kron(term, op)
+        full += g[2 * i + j, 2 * k + l] * term
+    return full
 
 
 def drawn_gates(count, seed=0):
@@ -107,6 +125,20 @@ class TestApplyGate:
             amp = apply_one(amp, 6, qa, qb, pu[k], mids[k], pd[k])
         assert abs(np.linalg.norm(amp) - 1.0) < 1e-12
         assert charge_expectation(amp) == pytest.approx(q_before, abs=1e-9)
+
+    def test_matches_dense_operator_in_place(self):
+        n, b = 6, 3
+        rng = np.random.default_rng(8)
+        pairs = gate_layout(n)
+        assert (5, 0) in pairs
+        mids, pu, pd = _draw_gate_blocks(8, range(b), 1, len(pairs))
+        for g, (qa, qb) in enumerate(pairs):
+            amps = np.array([random_amplitudes(rng, n) for _ in range(b)])
+            expected = np.array([dense_gate(n, qa, qb, pu[r, 0, g], mids[r, 0, g], pd[r, 0, g])
+                                 @ amps[r] for r in range(b)])
+            out = _apply_gate_batch(amps, n, qa, qb, pu[:, 0, g], mids[:, 0, g], pd[:, 0, g])
+            assert out is amps
+            assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_identity_blocks_do_nothing(self):
         amp = random_amplitudes(np.random.default_rng(5), 4)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpemba import geometry
 from mpemba.geometry import (
     DensityMatrix,
     InvalidStateError,
@@ -233,6 +234,36 @@ class TestBatchedKernels:
             affinity_batch(good, bad)
         with pytest.raises(UnsupportedMetricError):
             geodesic_batch(good, good, MetricKind.HM)
+
+    def test_qubit_closed_forms_check_eigenvalues(self):
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        mixed = np.eye(2, dtype=complex) / 2
+        for kernel in (uhlmann_fidelity, affinity):
+            with pytest.raises(InvalidStateError):
+                kernel(bad, mixed)
+            with pytest.raises(InvalidStateError):
+                kernel(mixed, bad)
+            with pytest.raises(InvalidStateError):  # the same input at d = 4
+                kernel(np.kron(bad, mixed), np.kron(mixed, mixed))
+            kernel(bloch_to_density([0.0, 0.0, 1.0 + 1e-12]), mixed)  # roundoff passes
+
+    def test_single_reference_is_rooted_once(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        rs = rng.normal(size=(50, 3))
+        rs *= (rng.uniform(0, 1, size=50) / np.linalg.norm(rs, axis=1))[:, None]
+        target = np.array([0.0, 0.3, -0.4])
+        rooted = []
+        sqrtm = geometry._sqrtm_batch
+
+        def recording_sqrtm(mats):
+            rooted.append(mats.shape)
+            return sqrtm(mats)
+
+        monkeypatch.setattr(geometry, "_sqrtm_batch", recording_sqrtm)
+        vals = bloch_affinity(rs, target)
+        assert rooted == [(50, 2, 2), (2, 2)]
+        assert np.array_equal(vals, [bloch_affinity(r, target) for r in rs])
+        assert np.array_equal(bloch_fidelity(rs, target), [bloch_fidelity(r, target) for r in rs])
 
 
 class TestGeodesicDistance:

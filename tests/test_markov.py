@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mpemba import markov
 from mpemba.geometry import MetricDomainError, MetricKind, bloch_to_density, density_to_bloch
 from mpemba.markov import (
     ANCHORS,
@@ -16,7 +15,6 @@ from mpemba.markov import (
     calibrate,
     default_params,
     distance_map,
-    geodesic_curve,
     grid_interpretations,
     integrate,
     matrix_rhs,
