@@ -29,22 +29,24 @@ import numpy as np
 from scipy.optimize import minimize
 
 from mpemba.analysis import CurvePair, detect_crossing
-from mpemba.markov import (ANCHOR_ALPHA, ANCHORS, FITTED_TABLE, FittedInterpretation,
-                           MarkovParams, exact_sld_increments, geodesic_curve)
+from mpemba.geometry import MetricKind
+from mpemba.markov import (ANCHOR_ALPHA, ANCHORS, DEFAULT_STEPS, DEFAULT_TAU_MAX, FITTED_TABLE,
+                           FittedInterpretation, MarkovParams, geodesic_curve, propagate,
+                           trajectory_length)
 
 # expected (iqme, qme) outcomes; None = not constrained
 VERDICTS = {"i": (True, None), "ii": (True, False), "iii": (False, True), "iv": (False, None)}
 
 
 def curves(gamma_prime, gt, gl, om, r0s):
-    """Exact trajectories of the z-coupled generator: times, length and d(t) curves."""
+    """Trajectories of the z-coupled generator from the commands' RK4
+    propagator: times, SLD length and d(t) curves."""
     params = MarkovParams(ANCHOR_ALPHA, gamma_prime,
                           FittedInterpretation(table=((gamma_prime, (gt, gl, om)),)))
     a, c = params.generator()
-    t, traj, increments = exact_sld_increments(a, c, r0s)
-    ell = np.zeros(traj.shape[:2])
-    ell[:, 1:] = np.cumsum(increments, axis=1)
-    return t, ell, geodesic_curve(traj, params)
+    t = np.linspace(0.0, DEFAULT_TAU_MAX, DEFAULT_STEPS + 1)
+    traj = propagate(a, c, r0s, DEFAULT_STEPS, DEFAULT_TAU_MAX)
+    return t, trajectory_length(traj, t, MetricKind.SLD, params), geodesic_curve(traj, params)
 
 
 def group_metrics(gamma_prime, gt, gl, om):

@@ -183,7 +183,11 @@ def _reduce_batch(amps, n, start, size):
     t = amps.reshape((b,) + (2,) * n)
     t = np.moveaxis(t, axes_src, tuple(range(1, 1 + size)))
     t = t.reshape(b, 2 ** size, -1)
-    rho = np.matmul(t, t.conj().transpose(0, 2, 1))
+    rho = np.empty((b, 2 ** size, 2 ** size), dtype=t.dtype)
+    rows = max(1, GATE_BLOCK_BYTES // (amps.itemsize * amps.shape[1]))
+    for r in range(0, b, rows):  # conjugate one row block at a time, not the whole state
+        k = slice(r, r + rows)
+        np.matmul(t[k], t[k].conj().transpose(0, 2, 1), out=rho[k])
     tr = np.einsum("bii->b", rho).real
     rho /= tr[:, None, None]
     return rho

@@ -49,10 +49,6 @@ def fmt(x) -> str:
     return str(x)
 
 
-def interpretation_token(interp) -> str:
-    return interp.describe()
-
-
 def interpretation_from_token(token: str):
     if token.startswith("fitted"):
         return FittedInterpretation()
@@ -84,7 +80,7 @@ def _calibration_path(workdir: str) -> str:
 def _write_calibration(workdir: str, result: markov.CalibrationResult) -> None:
     os.makedirs(workdir, exist_ok=True)
     with open(_calibration_path(workdir), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"winner": interpretation_token(result.winner),
+        json.dump({"winner": result.winner.describe(),
                    "max_residual": result.max_residual}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -103,7 +99,7 @@ def load_or_run_calibration(workdir: str, quiet: bool = False):
     result = markov.calibrate()
     _write_calibration(workdir, result)
     if not quiet:
-        print(f"calibrated: winner {interpretation_token(result.winner)} "
+        print(f"calibrated: winner {result.winner.describe()} "
               f"(max residual {result.max_residual:.4f})")
     return result.winner, result.max_residual
 
@@ -118,7 +114,7 @@ def cmd_calibrate(args) -> int:
             header.append(f"res_{case.label}_{tag}")
     rows = []
     for score in result.scores:
-        row = [interpretation_token(score.interpretation),
+        row = [score.interpretation.describe(),
                "yes" if score.physical else "no",
                score.reason.replace(",", ";"),
                fmt(score.max_residual) if np.isfinite(score.max_residual) else "inf"]
@@ -126,12 +122,12 @@ def cmd_calibrate(args) -> int:
         rows.append(row)
     manifest = base_manifest("calibrate", {
         "anchors": ";".join(c.label for c in result.anchors),
-        "winner": interpretation_token(result.winner),
+        "winner": result.winner.describe(),
         "winner_max_residual": fmt(result.max_residual),
     })
     write_csv(os.path.join(args.workdir, "calibration.csv"), manifest, header, rows)
     _write_calibration(args.workdir, result)
-    print(f"winner: {interpretation_token(result.winner)} "
+    print(f"winner: {result.winner.describe()} "
           f"max residual {result.max_residual:.5f}")
     print(f"wrote {os.path.join(args.workdir, 'calibration.csv')} "
           f"({time.monotonic() - t0:.2f}s)")
@@ -194,7 +190,7 @@ def cmd_markov(args) -> int:
     os.makedirs(args.workdir, exist_ok=True)
     path = os.path.join(args.workdir, f"markov_{tag}_{args.metric}.csv")
     manifest = base_manifest("markov", {
-        "interpretation": interpretation_token(interp),
+        "interpretation": interp.describe(),
         "alpha": fmt(alpha), "gamma_prime": fmt(gp), "metric": args.metric,
         "a": f"{fmt(point_a[0])};{fmt(point_a[1])}",
         "b": f"{fmt(point_b[0])};{fmt(point_b[1])}",
@@ -228,7 +224,7 @@ def cmd_markov_map(args) -> int:
     tag = f"gp{args.gamma_prime:g}_{args.metric}"
     path = os.path.join(args.workdir, f"markov_map_{tag}.csv")
     manifest = base_manifest("markov-map", {
-        "interpretation": interpretation_token(interp),
+        "interpretation": interp.describe(),
         "alpha": fmt(args.alpha), "gamma_prime": fmt(args.gamma_prime),
         "metric": args.metric, "spacing": fmt(args.spacing),
         "geodesic_reference": "wy" if metric is MetricKind.WY else "sld",

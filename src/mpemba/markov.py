@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -43,6 +43,8 @@ DEFAULT_STEPS = 1000
 DEFAULT_TAU_MAX = 30.0
 HM_INTERIOR_MARGIN = 2e-9  # |r| <= 1 - margin keeps both eigenvalues >= 1e-9
 CALIBRATION_THRESHOLD = 0.05  # largest anchor deviation a calibration winner may have
+SPEED_STRIDE = 20  # output steps between the speed samples of a disk map
+MAP_BLOCK = 64  # disk-map cells per propagate call: 1.5 MiB of samples, ~7 MiB peak with speeds
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -321,27 +323,44 @@ def _stiffness(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a).real)) + np.max(np.abs(np.imag(np.linalg.eigvals(a)))))
 
 
-def _rk4_advance(r, a, c, h, substeps):
-    """Advance r' = r A^T + c by one output step h in `substeps` classical
-    RK4 steps."""
-    hs = h / substeps
-    for _ in range(substeps):
-        k1 = r @ a.T + c
-        k2 = (r + 0.5 * hs * k1) @ a.T + c
-        k3 = (r + 0.5 * hs * k2) @ a.T + c
-        k4 = (r + hs * k3) @ a.T + c
-        r = r + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return r
+def propagate(a, c, r0s, n_steps: int, tau_max: float) -> np.ndarray:
+    """Classical RK4 samples of r' = A r + c at n_steps + 1 evenly spaced times
+    on [0, tau_max]; returns (m, n_steps + 1, 3) for initial states (m, 3).
+
+    The field is affine, so one RK4 substep of length h_s is the affine map
+    1 + X + X^2/2 + X^3/6 + X^4/24 with X = h_s [[A, c], [0, 0]]. Stiff
+    generators take uniform substeps per output step, and their power T is
+    one output step. Samples are filled by doubling: samples [k, 2k) are
+    samples [0, k) mapped by T^k, so n_steps costs about log2(n_steps)
+    batched products.
+    """
+    h = tau_max / n_steps
+    substeps = max(1, min(1000, math.ceil(h * _stiffness(a) / 0.1)))
+    x = np.zeros((4, 4))
+    x[:3, :3] = a
+    x[:3, 3] = c
+    x *= h / substeps
+    x2 = x @ x
+    x3 = x2 @ x
+    t = np.linalg.matrix_power(np.eye(4) + x + x2 / 2.0 + x3 / 6.0 + x3 @ x / 24.0, substeps)
+    out = np.empty((r0s.shape[0], n_steps + 1, 3))
+    out[:, 0] = r0s
+    done = 1
+    while done <= n_steps:
+        m = min(done, n_steps + 1 - done)
+        block = out[:, done:done + m]
+        np.matmul(out[:, :m], t[:3, :3].T, out=block)
+        block += t[:3, 3]
+        t = t @ t
+        done += m
+    return out
 
 
 def integrate_batch(r0s, params: MarkovParams, n_steps: int = DEFAULT_STEPS,
-                    tau_max: float = DEFAULT_TAU_MAX,
-                    substeps: Optional[int] = None) -> np.ndarray:
-    """Classical fixed-step 4th-order integration of a batch of initial states.
-
-    Returns samples of shape (m, n_steps + 1, 3). The output grid always has
-    n_steps intervals; stiff generators are refined with uniform internal
-    substeps so the sampled trajectory stays accurate.
+                    tau_max: float = DEFAULT_TAU_MAX) -> np.ndarray:
+    """RK4 samples (m, n_steps + 1, 3) of a batch of initial states (see
+    ``propagate``). Raises InstabilityError at the first output step at which
+    a sample lies more than BALL_TOL outside the Bloch ball.
     """
     r0s = np.atleast_2d(np.asarray(r0s, dtype=float))
     if r0s.shape[1] != 3:
@@ -350,32 +369,23 @@ def integrate_batch(r0s, params: MarkovParams, n_steps: int = DEFAULT_STEPS,
     if np.any(norms > 1.0 + 1e-9):
         raise ValueError(f"initial state outside the Bloch ball (|r|={norms.max():.6f})")
     a, c = params.generator()
-    h = tau_max / n_steps
-    if substeps is None:
-        substeps = max(1, min(1000, math.ceil(h * _stiffness(a) / 0.1)))
-    out = np.empty((r0s.shape[0], n_steps + 1, 3))
-    out[:, 0] = r0s
-    r = r0s.copy()
-    limit = (1.0 + BALL_TOL) ** 2
-    for k in range(n_steps):
-        r = _rk4_advance(r, a, c, h, substeps)
-        sq = np.einsum("ij,ij->i", r, r)
-        if np.any(sq > limit):
-            worst = float(np.sqrt(sq.max()))
-            raise InstabilityError(
-                f"trajectory escaped the Bloch ball (|r|={worst:.6f}) at "
-                f"tau={h*(k+1):.4f}; interpretation {params.interpretation.describe()}"
-            )
-        out[:, k + 1] = r
+    out = propagate(a, c, r0s, n_steps, tau_max)
+    sq = np.einsum("mki,mki->km", out, out)
+    escapes = np.flatnonzero(np.any(sq > (1.0 + BALL_TOL) ** 2, axis=1))
+    if escapes.size:
+        k = int(escapes[0])
+        raise InstabilityError(
+            f"trajectory escaped the Bloch ball (|r|={float(np.sqrt(sq[k].max())):.6f}) at "
+            f"tau={tau_max / n_steps * k:.4f}; interpretation {params.interpretation.describe()}"
+        )
     return out
 
 
 def integrate(r0, params: MarkovParams, n_steps: int = DEFAULT_STEPS,
-              tau_max: float = DEFAULT_TAU_MAX,
-              substeps: Optional[int] = None) -> np.ndarray:
+              tau_max: float = DEFAULT_TAU_MAX) -> np.ndarray:
     """Single-trajectory integration; returns (n_steps + 1, 3) samples."""
     return integrate_batch(np.asarray(r0, dtype=float)[None, :], params,
-                           n_steps=n_steps, tau_max=tau_max, substeps=substeps)[0]
+                           n_steps=n_steps, tau_max=tau_max)[0]
 
 
 def trajectory_length(states, times, metric: MetricKind, params: MarkovParams) -> np.ndarray:
@@ -496,50 +506,30 @@ class CalibrationResult:
     anchors: Tuple[AnchorCase, ...]
 
 
-def exact_sld_increments(a, c, r0s, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU_MAX):
-    """Exact affine propagation of r' = A r + c and its SLD length per output step.
-
-    The calibration's evaluator (the public integrate op is the RK4 path).
-    Returns (times (n+1,), trajectories (m, n+1, 3), length increments (m, n)):
-    the trapezoidal quadrature of half the root SLD speed over each output
-    interval.
-    """
-    rs = np.linalg.solve(a, -c)
-    lam, v = np.linalg.eig(a)
-    vinv = np.linalg.inv(v)
-    times = np.linspace(0.0, tau_max, n_steps + 1)
-    d0 = (r0s - rs) @ vinv.T
-    phases = np.exp(np.outer(times, lam))
-    traj = np.moveaxis(np.einsum("ij,kj,mj->kmi", v, phases, d0).real + rs, 0, 1)
-    speeds = bloch_speed(traj, traj @ a.T + c, MetricKind.SLD)
-    f = 0.5 * np.sqrt(np.clip(speeds, 0.0, None))
-    return times, traj, 0.5 * (f[:, 1:] + f[:, :-1]) * (times[1] - times[0])
-
-
-def _score_candidate(interp, anchors, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU_MAX,
-                     alpha=ANCHOR_ALPHA) -> CandidateScore:
-    nan_res = tuple([float("nan")] * (4 * len(anchors)))
+def _score_candidate(interp) -> CandidateScore:
+    nan_res = tuple([float("nan")] * (4 * len(ANCHORS)))
     # physicality filter: fixed point inside the ball for every anchor setting
-    for case in anchors:
+    for case in ANCHORS:
         try:
-            steady_state(MarkovParams(alpha, case.gamma_prime, interp))
+            steady_state(MarkovParams(ANCHOR_ALPHA, case.gamma_prime, interp))
         except UnphysicalInterpretationError as exc:
             return CandidateScore(interp, False, str(exc), float("inf"), nan_res)
     if interp.kind == "grid":
-        decay, deph = interp.rates(alpha)
+        decay, deph = interp.rates(ANCHOR_ALPHA)
         if decay < 0 or deph < 0:
             return CandidateScore(interp, False, "negative rate", float("inf"), nan_res)
+    times = np.linspace(0.0, DEFAULT_TAU_MAX, DEFAULT_STEPS + 1)
     residuals = []
-    for case in anchors:
-        params = MarkovParams(alpha, case.gamma_prime, interp)
+    for case in ANCHORS:
+        params = MarkovParams(ANCHOR_ALPHA, case.gamma_prime, interp)
         # rates are nonnegative here, so the checked generator cannot raise
         a, c = params.generator()
         if np.any(np.linalg.eigvals(a).real > -1e-12):
             return CandidateScore(interp, False, "non-contracting generator", float("inf"),
                                   nan_res)
         r0s = np.array([[0.0, *case.point_a], [0.0, *case.point_b]])
-        _, _, increments = exact_sld_increments(a, c, r0s, n_steps, tau_max)
-        lengths = np.sum(increments, axis=1)
+        traj = propagate(a, c, r0s, DEFAULT_STEPS, DEFAULT_TAU_MAX)
+        lengths = trajectory_length(traj, times, MetricKind.SLD, params)[:, -1]
         d0 = geodesic_curve(r0s, params)
         residuals += [
             lengths[0] - case.length_a, lengths[1] - case.length_b,
@@ -549,20 +539,18 @@ def _score_candidate(interp, anchors, n_steps=DEFAULT_STEPS, tau_max=DEFAULT_TAU
     return CandidateScore(interp, True, "", float(np.max(np.abs(residuals))), residuals)
 
 
-def calibrate(anchors: Sequence[AnchorCase] = ANCHORS,
-              include_fitted: bool = True) -> CalibrationResult:
+def calibrate() -> CalibrationResult:
     """Score every candidate interpretation against the anchor table.
 
     Enumerates the documented grid (discarding unphysical candidates), then
     the calibrated generator, and selects the candidate with the smallest
     maximum absolute deviation over all anchor values (first in enumeration
-    order wins ties). Raises CalibrationError if nothing lands within
+    order wins ties). Lengths come from the same RK4 trajectories the
+    commands write. Raises CalibrationError if nothing lands within
     ``CALIBRATION_THRESHOLD``.
     """
-    candidates: List[object] = list(grid_interpretations())
-    if include_fitted:
-        candidates.append(FittedInterpretation())
-    scores = tuple(_score_candidate(interp, tuple(anchors)) for interp in candidates)
+    candidates: List[object] = [*grid_interpretations(), FittedInterpretation()]
+    scores = tuple(_score_candidate(interp) for interp in candidates)
     best = min(scores, key=lambda s: s.max_residual)  # stable: first wins ties
     if not np.isfinite(best.max_residual) or best.max_residual > CALIBRATION_THRESHOLD:
         lines = [f"{s.interpretation.describe()}: "
@@ -573,7 +561,7 @@ def calibrate(anchors: Sequence[AnchorCase] = ANCHORS,
             f"{CALIBRATION_THRESHOLD}; best {best.max_residual:.4f}\n" + "\n".join(lines),
             report=scores,
         )
-    return CalibrationResult(best.interpretation, best.max_residual, scores, tuple(anchors))
+    return CalibrationResult(best.interpretation, best.max_residual, scores, ANCHORS)
 
 
 @dataclass(frozen=True)
@@ -598,15 +586,14 @@ class DistanceMap:
 
 
 def distance_map(params: MarkovParams, grid_spacing: float = 0.02,
-                 metric: MetricKind = MetricKind.SLD,
-                 n_steps: int = DEFAULT_STEPS, tau_max: float = DEFAULT_TAU_MAX,
-                 speed_stride: int = 20) -> DistanceMap:
+                 metric: MetricKind = MetricKind.SLD) -> DistanceMap:
     """Trajectory length vs geodesic distance over the interior of the disk.
 
     The reported length adds the geodesic remainder from the final sample to
     the fixed point, which completes the truncated tail and guarantees
     length >= d(0) exactly (triangle inequality). Instantaneous speeds are
-    sampled every ``speed_stride`` output steps.
+    sampled every ``SPEED_STRIDE`` output steps. Cells are propagated
+    ``MAP_BLOCK`` at a time.
     """
     if grid_spacing <= 0:
         raise ValueError("grid_spacing must be positive")
@@ -616,39 +603,33 @@ def distance_map(params: MarkovParams, grid_spacing: float = 0.02,
     pts = np.column_stack([ys.ravel(), zs.ravel()])
     interior = np.sum(pts ** 2, axis=1) < 1.0 - 1e-12
     pts = pts[interior]
-    r0s = np.zeros((pts.shape[0], 3))
+    n = pts.shape[0]
+    r0s = np.zeros((n, 3))
     r0s[:, 1:] = pts
     rs = steady_state(params)
     a, c = params.generator()
-    h = tau_max / n_steps
-    substeps = max(1, min(1000, math.ceil(h * _stiffness(a) / 0.1)))
-    r = r0s.copy()
-    valid = np.ones(pts.shape[0], dtype=bool)
-    root_speed = np.sqrt(np.clip(bloch_speed(r, r @ a.T + c, metric), 0.0, None))
-    f_prev = 0.5 * root_speed
-    ell = np.zeros(pts.shape[0])
-    speed_times = [0.0]
-    speed_samples = [root_speed]
+    h = DEFAULT_TAU_MAX / DEFAULT_STEPS
+    sampled = np.arange(0, DEFAULT_STEPS + 1, SPEED_STRIDE)
+    ell = np.empty(n)
+    valid = np.empty(n, dtype=bool)
+    r_end = np.empty((n, 3))
+    speed_samples = np.empty((sampled.size, n))
     limit = (1.0 + 1e-9) ** 2
-    for k in range(n_steps):
-        r = _rk4_advance(r, a, c, h, substeps)
-        sq = np.einsum("ij,ij->i", r, r)
-        escaped = sq > limit
-        if np.any(escaped & valid):
-            valid &= ~escaped
-            # park dead trajectories at the fixed point to keep the batch finite
-            r[escaped] = rs
-        root_speed = np.sqrt(np.clip(bloch_speed(r, r @ a.T + c, metric), 0.0, None))
+    for lo in range(0, n, MAP_BLOCK):
+        cells = slice(lo, lo + MAP_BLOCK)
+        traj = propagate(a, c, r0s[cells], DEFAULT_STEPS, DEFAULT_TAU_MAX)
+        inside = np.logical_and.accumulate(np.einsum("mki,mki->mk", traj, traj) <= limit, axis=1)
+        # park samples after an escape at the fixed point to keep the speeds finite
+        traj[~inside] = rs
+        root_speed = np.sqrt(np.clip(bloch_speed(traj, traj @ a.T + c, metric), 0.0, None))
         f = 0.5 * root_speed
-        ell += 0.5 * h * (f_prev + f)
-        f_prev = f
-        if (k + 1) % speed_stride == 0:
-            speed_times.append(h * (k + 1))
-            speed_samples.append(np.where(valid, root_speed, np.nan))
+        ell[cells] = np.sum(0.5 * h * (f[:, :-1] + f[:, 1:]), axis=1)
+        valid[cells] = inside[:, -1]
+        r_end[cells] = traj[:, -1]
+        speed_samples[:, cells] = np.where(inside[:, sampled], root_speed[:, sampled], np.nan).T
     d0 = geodesic_curve(r0s, params, metric)
-    total = np.where(valid, ell + geodesic_curve(r, params, metric), np.nan)
+    total = np.where(valid, ell + geodesic_curve(r_end, params, metric), np.nan)
     return DistanceMap(
         points=pts, total_length=total, dist0=d0, excess=total - d0, valid=valid,
-        speed_times=np.asarray(speed_times), speed_samples=np.asarray(speed_samples),
-        metric=metric, params=params,
+        speed_times=h * sampled, speed_samples=speed_samples, metric=metric, params=params,
     )

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from mpemba import cli, markov
 from mpemba.geometry import MetricDomainError, MetricKind, bloch_to_density, density_to_bloch
 from mpemba.markov import (
     ANCHORS,
+    CALIBRATION_THRESHOLD,
     CalibrationError,
     ConfigurationError,
     FittedInterpretation,
@@ -18,6 +20,7 @@ from mpemba.markov import (
     grid_interpretations,
     integrate,
     matrix_rhs,
+    propagate,
     run_trajectory_record,
     steady_state,
     trajectory_length,
@@ -189,14 +192,49 @@ class TestIntegrate:
                 return np.eye(3) * 0.5, np.zeros(3)
 
         params = MarkovParams(100.0, 0.94, Runaway())
-        with pytest.raises(InstabilityError):
-            integrate([0.0, 0.5, 0.0], params, n_steps=100, tau_max=10.0, substeps=1)
+        # |r| = 0.5 e^(t/2) first exceeds 1 + BALL_TOL between the samples at 1.3 and 1.4
+        with pytest.raises(InstabilityError, match=r"tau=1\.4000"):
+            integrate([0.0, 0.5, 0.0], params, n_steps=100, tau_max=10.0)
 
     def test_stiff_candidate_integrates_with_substeps(self):
         stiff = GridInterpretation("magnitude", 1, -1, "half_inverse")
         params = MarkovParams(100.0, 0.94, stiff)
         traj = integrate([0.0, 0.5, 0.0], params)  # auto substeps keep it stable
         assert np.all(np.linalg.norm(traj, axis=1) <= 1.0 + 1e-6)
+
+
+class TestPropagate:
+    R0S = np.array([[0.0, 0.5, 0.0], [0.0, -0.95, -0.25], [0.3, 0.0, 0.9], [0.0, 0.0, 0.0]])
+
+    @staticmethod
+    def exact(a, c, r0s, n_steps, tau_max):
+        linalg = pytest.importorskip("scipy.linalg")
+        g = np.zeros((4, 4))
+        g[:3, :3] = a
+        g[:3, 3] = c
+        times = np.linspace(0.0, tau_max, n_steps + 1)
+        flow = linalg.expm(times[:, None, None] * g)  # (n+1, 4, 4)
+        return np.einsum("kij,mj->mki", flow[:, :3, :3], r0s) + flow[:, :3, 3]
+
+    @pytest.mark.parametrize("gamma_prime", [0.52, 0.94])
+    def test_fitted_generator_matches_exact_flow(self, gamma_prime):
+        a, c = default_params(gamma_prime).generator()
+        got = propagate(a, c, self.R0S, 1000, 30.0)
+        assert np.max(np.abs(got - self.exact(a, c, self.R0S, 1000, 30.0))) < 1e-8
+
+    def test_stiff_candidate_matches_exact_flow(self):
+        stiff = GridInterpretation("magnitude", 1, -1, "half_inverse")
+        a, c = MarkovParams(100.0, 0.94, stiff).generator()
+        got = propagate(a, c, self.R0S, 1000, 30.0)
+        assert np.max(np.abs(got - self.exact(a, c, self.R0S, 1000, 30.0))) < 1e-6
+
+    @pytest.mark.parametrize("n_steps", [1, 7, 1000])
+    def test_shape_and_initial_samples(self, n_steps):
+        a, c = default_params(0.94).generator()
+        out = propagate(a, c, self.R0S, n_steps, 3.0)
+        assert out.shape == (len(self.R0S), n_steps + 1, 3)
+        assert np.array_equal(out[:, 0], self.R0S)
+        assert np.max(np.abs(out - self.exact(a, c, self.R0S, n_steps, 3.0))) < 1e-6
 
 
 class TestTrajectoryLength:
@@ -298,9 +336,15 @@ class TestCalibration:
         assert all(not s.physical for s in lits)
         assert any("outside the Bloch ball" in s.reason for s in lits)
 
-    def test_grid_alone_fails(self):
+    def test_grid_alone_fails(self, monkeypatch, tmp_path):
+        grid = [s for s in calibrate().scores if s.interpretation.kind == "grid"]
+        assert len(grid) == 32
+        assert all(s.max_residual > CALIBRATION_THRESHOLD for s in grid)
+        # below the winner's 0.0060 nothing qualifies: CalibrationError, CLI exit 3
+        monkeypatch.setattr(markov, "CALIBRATION_THRESHOLD", 0.005)
         with pytest.raises(CalibrationError):
-            calibrate(include_fitted=False)
+            calibrate()
+        assert cli.main(["-o", str(tmp_path), "calibrate"]) == cli.EXIT_CALIBRATION
 
     def test_report_shape(self):
         res = calibrate()
@@ -345,7 +389,18 @@ class TestDistanceMap:
 
     def test_speed_samples_shape(self):
         params = default_params(0.94)
-        dm = distance_map(params, grid_spacing=0.2, speed_stride=100)
+        dm = distance_map(params, grid_spacing=0.2)
         assert dm.speed_samples.shape == (len(dm.speed_times), dm.points.shape[0])
         good = dm.speed_samples[~np.isnan(dm.speed_samples)]
         assert np.all(good >= 0.0)
+
+    @pytest.mark.parametrize("spacing", [0.1, 0.05])  # at 0.05 two cells leave and re-enter
+    def test_escaped_cells_keep_speeds_until_the_escape(self, spacing):
+        dm = distance_map(default_params(0.94), grid_spacing=spacing)
+        assert np.any(~dm.valid)
+        assert np.all(np.isfinite(dm.speed_samples[:, dm.valid]))
+        finite = np.isfinite(dm.speed_samples[:, ~dm.valid])  # (samples, invalid cells)
+        # a finite prefix, then only NaN: once escaped, a cell never counts again
+        assert np.all(finite == np.logical_and.accumulate(finite, axis=0))
+        assert np.all(finite[0])
+        assert np.any(finite[1:])
