@@ -20,6 +20,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from .geometry import MetricKind, UnsupportedMetricError
 from .geometry import geodesic_batch as _pair_distances
 
 CHUNK = 64  # trajectories per internal batch; fixed so results never depend on threading
-GATE_BLOCK_BYTES = 1 << 19  # row bytes per in-place gate pass; block + temporaries fit a 2 MB L2
+GATE_BLOCK_BYTES = 1 << 19  # rows run through all steps together (at least one); fits a 2 MB L2
 CONVERGENCE_WINDOW = 5  # final steps whose slope decides convergence
 CONVERGENCE_SLOPE_TOL = 0.005  # largest mean-length growth per step of a converged curve
 
@@ -141,33 +142,27 @@ def _apply_gate_batch(amps, n, qa, qb, phase_up, mids, phase_down):
     amps: (B, 2^n), C-contiguous, overwritten and returned; phase_up and
     phase_down: (B,); mids: (B, 2, 2) acting on (|ud>, |du>) of (qa, qb).
     One strided view (B, 2^lo, 2, 2^(hi-lo-1), 2, 2^(n-hi-1)) exposes the
-    four pair-charge sectors. Rows are updated GATE_BLOCK_BYTES at a time, so
-    the block and the mixed-sector temporaries stay in cache. Products are
-    written coefficient * amplitude: under fused multiply-add the imaginary
-    part of a complex product depends on operand order, and this order
-    reproduces the committed goldens bit for bit.
+    four pair-charge sectors; the update walks the whole batch, so the caller
+    sizes it to stay in cache. Products are written coefficient * amplitude:
+    under fused multiply-add the imaginary part of a complex product depends
+    on operand order, and this order reproduces the committed goldens bit for
+    bit.
     """
     b = amps.shape[0]
     lo, hi = min(qa, qb), max(qa, qb)
     v = amps.reshape((b, 2 ** lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - hi - 1)), copy=False)
-    pu = phase_up[:, None, None, None]
-    pd = phase_down[:, None, None, None]
     m = mids[:, :, :, None, None, None]
-    rows = max(1, GATE_BLOCK_BYTES // (amps.itemsize * amps.shape[1]))
-    for r in range(0, b, rows):
-        k = slice(r, r + rows)
-        w = v[k]
-        up, down = w[:, :, 0, :, 0], w[:, :, 1, :, 1]
-        np.multiply(pu[k], up, out=up)
-        np.multiply(pd[k], down, out=down)
-        ud, du = w[:, :, 0, :, 1], w[:, :, 1, :, 0]  # bits (lo, hi) = (0, 1) and (1, 0)
-        if qa > qb:
-            ud, du = du, ud
-        mixed = m[k, 0, 0] * ud
-        mixed += m[k, 0, 1] * du
-        np.multiply(m[k, 1, 1], du, out=du)
-        du += m[k, 1, 0] * ud
-        ud[...] = mixed
+    up, down = v[:, :, 0, :, 0], v[:, :, 1, :, 1]
+    np.multiply(phase_up[:, None, None, None], up, out=up)
+    np.multiply(phase_down[:, None, None, None], down, out=down)
+    ud, du = v[:, :, 0, :, 1], v[:, :, 1, :, 0]  # bits (lo, hi) = (0, 1) and (1, 0)
+    if qa > qb:
+        ud, du = du, ud
+    mixed = m[:, 0, 0] * ud
+    mixed += m[:, 0, 1] * du
+    np.multiply(m[:, 1, 1], du, out=du)
+    du += m[:, 1, 0] * ud
+    ud[...] = mixed
     return amps
 
 
@@ -183,14 +178,19 @@ def _reduce_batch(amps, n, start, size):
     t = amps.reshape((b,) + (2,) * n)
     t = np.moveaxis(t, axes_src, tuple(range(1, 1 + size)))
     t = t.reshape(b, 2 ** size, -1)
-    rho = np.empty((b, 2 ** size, 2 ** size), dtype=t.dtype)
-    rows = max(1, GATE_BLOCK_BYTES // (amps.itemsize * amps.shape[1]))
-    for r in range(0, b, rows):  # conjugate one row block at a time, not the whole state
-        k = slice(r, r + rows)
-        np.matmul(t[k], t[k].conj().transpose(0, 2, 1), out=rho[k])
+    rho = t @ t.conj().transpose(0, 2, 1)
     tr = np.einsum("bii->b", rho).real
     rho /= tr[:, None, None]
     return rho
+
+
+def _swap_halves(src, dst, n):
+    """Write into dst the rows of src with the two register halves exchanged
+    (each row transposed as (2^(n/2), 2^(n/2))) and return dst. Qubit q of
+    src is qubit (q + n/2) mod n of dst; the map is its own inverse."""
+    side = 2 ** (n // 2)
+    np.copyto(dst.reshape(-1, side, side), src.reshape(-1, side, side).transpose(0, 2, 1))
+    return dst
 
 
 def gate_layout(n_qubits: int):
@@ -227,22 +227,44 @@ def _draw_gate_blocks(master_seed, traj_indices, steps, n_gates):
 
 
 def _run_batch(config: CircuitConfig, traj_indices) -> Tuple[np.ndarray, np.ndarray]:
-    """Evolve a batch of trajectories; returns (lengths (B, T+1), rdms (B, T+1, d, d))."""
+    """Evolve a batch of trajectories; returns (lengths (B, T+1), rdms (B, T+1, d, d)).
+
+    Rows are evolved GATE_BLOCK_BYTES at a time through every step, so a
+    block stays in cache for its whole run. A gate whose pair lies in the
+    upper half of the register runs on the half-swapped row: there its pair
+    sits at a low qubit position, where the sector views have long inner runs.
+    """
     n = config.n_qubits
+    half = n // 2
     steps = config.horizon
+    start, size = config.subsystem_start, config.subsystem_size
     pairs = gate_layout(n)
     mids, pu, pd = _draw_gate_blocks(config.master_seed, traj_indices, steps, len(pairs))
+    # layout-order runs of gates that share a row layout; upper-half pairs shifted by n/2
+    runs = [(upper, [(g, qa - half * upper, qb - half * upper) for g, (qa, qb) in run])
+            for upper, run in groupby(enumerate(pairs), key=lambda gp: min(gp[1]) >= half)]
     psi0 = initial_state(config.family, config.theta, n)
     b = len(traj_indices)
-    amps = np.broadcast_to(psi0, (b, psi0.size)).copy()
-    d = 2 ** config.subsystem_size
+    d = 2 ** size
     rdms = np.empty((b, steps + 1, d, d), dtype=complex)
-    rdms[:, 0] = _reduce_batch(amps, n, config.subsystem_start, config.subsystem_size)
+    rows = min(b, max(1, GATE_BLOCK_BYTES // psi0.nbytes))
+    buffers = np.empty((2, rows, psi0.size), dtype=complex)  # the block and its spare
+    for r in range(0, b, rows):
+        k = slice(r, r + rows)
+        amps, other = buffers[:, :min(rows, b - r)]
+        amps[...] = psi0
+        rdms[k, 0] = _reduce_batch(amps, n, start, size)
+        for t in range(steps):
+            for upper, gates in runs:
+                if upper:
+                    amps, other = _swap_halves(amps, other, n), amps
+                for g, qa, qb in gates:
+                    _apply_gate_batch(amps, n, qa, qb, pu[k, t, g], mids[k, t, g], pd[k, t, g])
+                if upper:
+                    amps, other = _swap_halves(amps, other, n), amps
+            rdms[k, t + 1] = _reduce_batch(amps, n, start, size)
     ell = np.zeros((b, steps + 1))
     for t in range(steps):
-        for g, (qa, qb) in enumerate(pairs):
-            amps = _apply_gate_batch(amps, n, qa, qb, pu[:, t, g], mids[:, t, g], pd[:, t, g])
-        rdms[:, t + 1] = _reduce_batch(amps, n, config.subsystem_start, config.subsystem_size)
         step_d = _pair_distances(rdms[:, t], rdms[:, t + 1], config.metric)
         ell[:, t + 1] = ell[:, t] + 0.5 * step_d
     return ell, rdms

@@ -604,6 +604,8 @@ def distance_map(params: MarkovParams, grid_spacing: float = 0.02,
     interior = np.sum(pts ** 2, axis=1) < 1.0 - 1e-12
     pts = pts[interior]
     n = pts.shape[0]
+    if n == 0:
+        raise ValueError(f"grid spacing {grid_spacing:g} leaves no grid point inside the disk")
     r0s = np.zeros((n, 3))
     r0s[:, 1:] = pts
     rs = steady_state(params)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mpemba import circuit
 from mpemba.circuit import (
     AveragedCurve,
     CircuitConfig,
@@ -17,7 +20,7 @@ from mpemba.circuit import (
     run_trajectory,
     thread_count,
 )
-from mpemba.geometry import MetricKind, UnsupportedMetricError, geodesic_distance
+from mpemba.geometry import MetricKind, UnsupportedMetricError, geodesic_batch, geodesic_distance
 
 
 def small_config(**kw):
@@ -238,6 +241,57 @@ class TestRunTrajectory:
                 single_rdms, single_ell = run_trajectory(cfg, k)
                 assert np.array_equal(single_rdms, rdms[row])
                 assert np.array_equal(single_ell, ells[row])
+
+
+def reference_run(cfg, traj_indices):
+    """_run_batch as a plain loop: each gate on the whole batch in layout
+    order, then the reduction and the step distances."""
+    n, start, size = cfg.n_qubits, cfg.subsystem_start, cfg.subsystem_size
+    pairs = gate_layout(n)
+    mids, pu, pd = _draw_gate_blocks(cfg.master_seed, traj_indices, cfg.horizon, len(pairs))
+    amps = np.tile(initial_state(cfg.family, cfg.theta, n), (len(traj_indices), 1))
+    rdms = [_reduce_batch(amps, n, start, size)]
+    ells = [np.zeros(len(traj_indices))]
+    for t in range(cfg.horizon):
+        for g, (qa, qb) in enumerate(pairs):
+            _apply_gate_batch(amps, n, qa, qb, pu[:, t, g], mids[:, t, g], pd[:, t, g])
+        rdms.append(_reduce_batch(amps, n, start, size))
+        ells.append(ells[-1] + 0.5 * geodesic_batch(rdms[-2], rdms[-1], cfg.metric))
+    return np.stack(ells, axis=1), np.stack(rdms, axis=1)
+
+
+class TestRowBlocks:
+    # (n, subsystem size, subsystem start): single site at both ends, and the
+    # quarter subsystem of 8 qubits plain and wrapping over qubits 7, 0
+    CASES = [(n, 1, start) for n in (2, 4, 6, 8, 10) for start in (0, n - 1)]
+    CASES += [(8, 2, 0), (8, 2, 7)]
+
+    @pytest.mark.parametrize("metric", [MetricKind.SLD, MetricKind.WY])
+    @pytest.mark.parametrize("n, size, start", CASES)
+    def test_matches_plain_gate_loop(self, monkeypatch, n, size, start, metric):
+        cfg = small_config(n_qubits=n, subsystem_size=size, subsystem_start=start,
+                           metric=metric, horizon=6)
+        indices = [0, 3, 4, 8, 9]
+        if n > 2:
+            # Blocks of 2, 2 and 1 rows. At n = 2 every sector view holds one
+            # amplitude per row, so numpy's loops run along the batch axis and
+            # the last bit of a product depends on the block's row count; there
+            # the batch stays one block, as it does at the default block size.
+            monkeypatch.setattr(circuit, "GATE_BLOCK_BYTES", 2 * 16 * 2 ** n)
+        ells, rdms = _run_batch(cfg, indices)
+        ref_ells, ref_rdms = reference_run(cfg, indices)
+        assert np.array_equal(ells, ref_ells)
+        assert np.array_equal(rdms, ref_rdms)
+
+    def test_peak_memory_is_one_block_not_the_chunk(self):
+        cfg = small_config(n_qubits=14, horizon=6)
+        tracemalloc.start()
+        try:
+            _run_batch(cfg, list(range(64)))  # the whole chunk would be 16 MiB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestConservation:

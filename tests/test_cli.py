@@ -184,6 +184,8 @@ THETA = ["--theta", "0.5pi"]
     pytest.param(["markov", "--case", "i", "--steps", "0"], VALID_CACHE, None, id="zero-steps"),
     pytest.param(["markov-map", "--gamma-prime", "0.94", "--spacing", "-1"], VALID_CACHE, None,
                  id="negative-spacing"),
+    pytest.param(["markov-map", "--gamma-prime", "0.52", "--spacing", "5"], VALID_CACHE, None,
+                 id="spacing-without-interior-point"),
     pytest.param(["markov", "--case", "i"], '{"winner": "fitted', None, id="truncated-cache"),
     pytest.param(["markov", "--case", "i"], '{"max_residual": 0.005}\n', None,
                  id="cache-without-winner"),
@@ -211,6 +213,9 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv
     assert code == 2
     assert "Traceback" not in err
     assert "error: " in err
+    assert not list(out.glob("*.csv"))
+    if "--spacing" in argv:
+        assert "spacing" in err
     if cache is not None and cache != VALID_CACHE:
         assert str(out / "calibration.json") in err
 
